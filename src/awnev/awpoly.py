@@ -48,7 +48,12 @@ __all__ = [
 ]
 
 BRANCH_TOL = 1e-12
-POLE_TOL = 1e-12
+# Smallest share of its summed term moduli that a terminating series value is
+# measured against: the roundoff of a sum of moduli M is ~1e-16 M, so a value
+# cancelled below 1e-6 M reads as at most ~1e-10 relative error, under the
+# 1e-9 Rodrigues bound, while any error not caused by cancellation keeps its
+# full relative size.
+CANCEL_FLOOR = 1e-6
 
 
 @dataclass(frozen=True)
@@ -99,6 +104,26 @@ def polynomial_breve(n: int, p: AWParams, policy=DEFAULT_POLICY):
     updated multiplicatively; the (a e^(i theta), a e^(-i theta); q)_k pair
     collapses to the real-polynomial factor (1 - 2 a x q^k + a^2 q^(2k)).
     """
+    pref, ratios = _series_ratios(n, p)
+
+    def g(z: complex) -> complex:
+        x = (z + 1.0 / z) / 2.0
+        total = 1.0 + 0.0j
+        term = 1.0 + 0.0j
+        for c, aq, aaqq in ratios:
+            term *= c * (1.0 - 2.0 * x * aq + aaqq)
+            total += term
+        return pref * total
+
+    return g
+
+
+def _series_ratios(n: int, p: AWParams):
+    """The prefactor of p_n and, per term k < n, (c_k, a q^k, a^2 q^(2k)).
+
+    The k-th term ratio of the series is c_k (1 - 2 a x q^k + a^2 q^(2k));
+    only its last factor depends on x.
+    """
     if n < 0:
         raise InvalidParams("n must be >= 0")
     a, b, c, d = p.params()
@@ -112,29 +137,17 @@ def polynomial_breve(n: int, p: AWParams, policy=DEFAULT_POLICY):
         * qpoch_finite(a * d, p.q, n)
         / a**n
     )
-
-    def g(z: complex) -> complex:
-        x = (z + 1.0 / z) / 2.0
-        total = 1.0 + 0.0j
-        term = 1.0 + 0.0j
-        for k in range(n):
-            num = (
-                (1.0 - q ** (k - n))
-                * (1.0 - abcd * q ** (n - 1 + k))
-                * (1.0 - 2.0 * a * x * q**k + a * a * q ** (2 * k))
-                * q
-            )
-            den = (
-                (1.0 - a * b * q**k)
-                * (1.0 - a * c * q**k)
-                * (1.0 - a * d * q**k)
-                * (1.0 - q ** (k + 1))
-            )
-            term *= num / den
-            total += term
-        return pref * total
-
-    return g
+    ratios = []
+    for k in range(n):
+        num = (1.0 - q ** (k - n)) * (1.0 - abcd * q ** (n - 1 + k)) * q
+        den = (
+            (1.0 - a * b * q**k)
+            * (1.0 - a * c * q**k)
+            * (1.0 - a * d * q**k)
+            * (1.0 - q ** (k + 1))
+        )
+        ratios.append((num / den, a * q**k, a * a * q ** (2 * k)))
+    return pref, ratios
 
 
 def aw_polynomial(n: int, p: AWParams, x: complex, policy=DEFAULT_POLICY) -> complex:
@@ -220,7 +233,11 @@ def rodrigues_residual(n: int, p: AWParams, grid=None, policy=DEFAULT_POLICY) ->
     (D_q)^n [shift-n weight] = ((q-1)/2)^(-n) q^(-n(n-1)/4) * omega * p_n.
     The q-exponent -n(n-1)/4 and the unshifted weight on the right-hand
     side are fixed by direct numeric comparison of the two sides (the
-    alternative normalizations fail already at n = 2).
+    alternative normalizations fail already at n = 2).  Each point's
+    residual is relative to max(|lhs|, |rhs|, 1), with the scale floored at
+    CANCEL_FLOOR times the summed term moduli of the right-hand side: near
+    a zero of p_n its terminating series cancels, and its roundoff scales
+    with those moduli, not with |p_n|.
     """
     if n < 1:
         raise InvalidParams("n must be >= 1")
@@ -233,12 +250,19 @@ def rodrigues_residual(n: int, p: AWParams, grid=None, policy=DEFAULT_POLICY) ->
     const = ((q.q - 1.0) / 2.0) ** (-n) * q.q ** (-n * (n - 1) / 4.0)
     w0 = weight_breve(p, 0, policy)
     pn = polynomial_breve(n, p, policy)
+    pref, ratios = _series_ratios(n, p)
     worst = 0.0
     for x in grid:
         z = complex(lift_to_z_array(complex(x)))
         lhs = g(z)
-        rhs = const * w0(z) * pn(z)
-        scale = max(abs(lhs), abs(rhs), 1.0)
+        w = const * w0(z)
+        rhs = w * pn(z)
+        term = mass = 1.0
+        for c, aq, aaqq in ratios:
+            term *= abs(c * (1.0 - 2.0 * x * aq + aaqq))
+            mass += term
+        floor = CANCEL_FLOOR * abs(w * pref) * mass
+        scale = max(abs(lhs), abs(rhs), floor, 1.0)
         worst = max(worst, abs(lhs - rhs) / scale)
     return worst
 
@@ -267,15 +291,20 @@ def orthogonality_check(
             den *= qpoch_infinite(w * z, q, policy) * qpoch_infinite(w / z, q, policy)
         return pm(z) * pn(z) * num / den
 
-    def gauss(k: int) -> complex:
+    def gauss(k: int) -> tuple[complex, float]:
+        """The integral and the integral of |integrand| on k nodes."""
         nodes, weights = np.polynomial.legendre.leggauss(k)
         ts = 0.5 * math.pi * (nodes + 1.0)
-        return complex(sum(w * integrand(t) for t, w in zip(ts, weights)) * 0.5 * math.pi)
+        vals = [integrand(t) for t in ts]
+        total = sum(w * v for w, v in zip(weights, vals))
+        mass = sum(w * abs(v) for w, v in zip(weights, vals))
+        return complex(total * 0.5 * math.pi), float(mass * 0.5 * math.pi)
 
-    coarse = gauss(quad_nodes // 2)
-    fine = gauss(quad_nodes)
-    scale = max(abs(fine), abs(coarse), 1e-30)
-    if abs(fine - coarse) > 1e-9 * max(scale, 1.0):
+    coarse, _ = gauss(quad_nodes // 2)
+    fine, mass = gauss(quad_nodes)
+    # the roundoff of a quadrature sum scales with the integral of |integrand|,
+    # not with the integral: an off-diagonal entry is ~0 next to a large norm
+    if abs(fine - coarse) > 1e-9 * max(mass, 1.0):
         raise QuadratureNonconvergent(
             f"orthogonality quadrature has not settled at {quad_nodes} nodes"
         )

@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import csv
+import functools
 import io
 import json
 import math
@@ -563,7 +564,9 @@ def _fmt_value(v) -> str:
     return str(v)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argparse tree, built once per process; parse_args leaves it unchanged."""
     ap = argparse.ArgumentParser(
         prog="awnev",
         description="Divided-difference calculus and slow-growth value distribution.",

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidParams, PoleHit, SemanticError
+from .errors import InvalidParams, NumericFailure, PoleHit, SemanticError
 from .qcore import (
     DEFAULT_POLICY,
     QParam,
@@ -180,14 +180,19 @@ def _pole_guard(f: FunctionExpr, x: complex):
 
 
 def evaluate(f, x: complex, policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
-    """Numeric value of a FunctionExpr or ProductForm at the point x."""
+    """Numeric value of a FunctionExpr or ProductForm at the point x.
+
+    A zero of f evaluates to 0; a NaN log raises NumericFailure.
+    """
     if isinstance(f, ProductForm):
         f = f.as_expr()
     _pole_guard(f, x)
     z = complex(lift_to_z_array(complex(x)))
     lg = f.breve_log(z, policy)
-    if lg.real == -math.inf or (isinstance(lg, complex) and cmath.isnan(lg)):
+    if lg.real == -math.inf:
         return 0.0 + 0.0j
+    if cmath.isnan(lg):
+        raise NumericFailure(f"log of the function is NaN at x = {x}")
     return cmath.exp(lg)
 
 

@@ -26,7 +26,6 @@ __all__ = [
     "log_qpoch_infinite",
     "lift_to_z",
     "lift_to_z_array",
-    "hat_check",
     "lattice_point",
 ]
 
@@ -96,6 +95,11 @@ def qpoch_finite(a: complex, q, n: int) -> complex:
     return out
 
 
+# elements (terms x points) in one block temporary of the array path of
+# log_qpoch_infinite: 64 KiB of complex128, so a block stays in cache
+_BLOCK_ELEMS = 4096
+
+
 def _truncation_index(abs_a: float, abs_q: float, policy: TruncationPolicy) -> int:
     """Smallest N with tail bound sum_{k>N} |a||q|^{k-1}/(1-|a||q|^{k-1}) <= tol.
 
@@ -126,24 +130,56 @@ def log_qpoch_infinite(a, q, policy: TruncationPolicy = DEFAULT_POLICY):
     """log (a; q)_infinity with absolute log-error <= policy.abs_tol.
 
     ``a`` may be a complex scalar or a numpy array (vectorized over a).
-    Returns the sum of principal-branch logs of the factors; the real part
-    is exact within the tail bound, the imaginary part is a per-factor
-    principal-value sum (adequate everywhere we consume it).
-    A factor vanishing exactly yields real part -inf.
+    Returns the sum of the principal-branch logs of the factors
+    1 - a q^k, k < N, with N from the tail bound of the largest |a|: the
+    real part is exact within that bound, the imaginary part is the
+    per-factor principal-value sum (not reduced mod 2 pi; adequate
+    everywhere we consume it).  A factor vanishing exactly yields real
+    part -inf.
+
+    A scalar ``a`` runs a plain ``cmath`` loop and returns
+    ``complex(-inf, 0)`` at the first exactly vanishing factor.  An array
+    takes the powers q^k once and sums the logs of a block of factors
+    ``1 - q^k a`` at a time, over at most ``_BLOCK_ELEMS`` (terms x points)
+    per temporary, so extra memory stays fixed whatever the array size.
     """
     qq = _as_q(q)
     a_arr = np.asarray(a, dtype=complex)
-    abs_a = float(np.max(np.abs(a_arr))) if a_arr.size else 0.0
-    n = _truncation_index(abs_a, abs(qq), policy)
-    out = np.zeros_like(a_arr)
-    f = a_arr.copy()
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(n):
-            out = out + np.log(1.0 - f)
-            f = f * qq
     if a_arr.ndim == 0:
-        return complex(out)
-    return out
+        f = complex(a_arr)
+        n = _truncation_index(abs(f), abs(qq), policy)
+        log = cmath.log
+        out = 0j
+        try:
+            for _ in range(n):
+                # complex minus complex: a real factor keeps imaginary part
+                # +0.0, as on the array path
+                out += log((1.0 + 0.0j) - f)
+                f *= qq
+        except ValueError:  # cmath.log(0): a factor vanishes exactly
+            return complex(-math.inf, 0.0)
+        return out
+    abs_a = float(np.abs(a_arr).max()) if a_arr.size else 0.0
+    n = _truncation_index(abs_a, abs(qq), policy)
+    flat = a_arr.reshape(-1)
+    out = np.zeros(flat.shape, dtype=complex)
+    if n == 0:  # also every empty array
+        return out.reshape(a_arr.shape)
+    qk = np.full(n, qq)
+    qk[0] = 1.0
+    np.multiply.accumulate(qk, out=qk)  # q^k, k < n
+    width = min(flat.size, _BLOCK_ELEMS)
+    rows = _BLOCK_ELEMS // width
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for j in range(0, flat.size, width):
+            aj = flat[j : j + width]
+            acc = out[j : j + width]
+            for k in range(0, n, rows):
+                blk = qk[k : k + rows, None] * aj
+                np.subtract(1.0, blk, out=blk)
+                np.log(blk, out=blk)
+                acc += blk.sum(axis=0)
+    return out.reshape(a_arr.shape)
 
 
 def qpoch_infinite(a: complex, q, policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
@@ -181,18 +217,6 @@ def lift_to_z(x: complex) -> JoukowskiPoint:
     """Lift a single point to its |z| >= 1 branch representative."""
     z = complex(lift_to_z_array(complex(x)))
     return JoukowskiPoint(x=complex(x), z=z)
-
-
-def hat_check(p: JoukowskiPoint, q: QParam) -> tuple[complex, complex]:
-    """Shifted points x-hat and x-check of the divided-difference geometry.
-
-    x-hat = (q^(1/2) z + q^(-1/2)/z)/2, x-check = (q^(-1/2) z + q^(1/2)/z)/2.
-    """
-    s = q.sqrt_q
-    z = p.z
-    xhat = (s * z + 1.0 / (s * z)) / 2.0
-    xchk = (z / s + s / z) / 2.0
-    return xhat, xchk
 
 
 def lattice_point(a: complex, q, n: int) -> complex:

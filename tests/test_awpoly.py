@@ -17,7 +17,7 @@ from awnev.awpoly import (
     orthogonality_check,
     rodrigues_residual,
 )
-from awnev.errors import OutOfRange
+from awnev.errors import OutOfRange, QuadratureNonconvergent
 from awnev.qcore import QParam, qpoch_finite
 
 
@@ -80,6 +80,20 @@ def test_rodrigues_residual(n):
     assert rodrigues_residual(n, P) < 1e-9
 
 
+def test_rodrigues_residual_at_a_near_zero_of_p_n():
+    # the grid point x = -0.128 lies so close to a zero of p_3 that its
+    # terminating series cancels to 1e-7 of its terms; taken relative to
+    # |p_3| alone, that roundoff read as a 3e-9 Rodrigues residual
+    p = AWParams(
+        0.29787372624038294,
+        -0.20057281424992485,
+        0.10510739013816656 + 0.19751480753431463j,
+        0.10510739013816656 - 0.19751480753431463j,
+        QParam(0.9001435053688391),
+    )
+    assert rodrigues_residual(3, p) < 1e-9
+
+
 def test_weight_positive_on_interval():
     rng = np.random.default_rng(9)
     for x in rng.uniform(-0.97, 0.97, 50):
@@ -100,6 +114,17 @@ def test_orthogonality_matrix():
             else:
                 assert abs(val) <= 1e-7 * max(1.0, mass)
     assert mass == pytest.approx(28.8740, abs=5e-4)
+
+
+def test_orthogonality_off_diagonal_near_q_one():
+    # at q = 0.9 the diagonal is ~1e6-7e7 and an off-diagonal integral sits at
+    # the roundoff of its quadrature sum; convergence is judged against that
+    p = AWParams(0.3, 0.4, -0.2, 0.5, QParam(0.9))
+    norm = {n: abs(orthogonality_check(n, n, p)) for n in (1, 2)}
+    assert abs(orthogonality_check(0, 1, p)) <= 1e-7 * norm[1]
+    assert abs(orthogonality_check(1, 2, p)) <= 1e-7 * norm[2]
+    with pytest.raises(QuadratureNonconvergent):
+        orthogonality_check(1, 2, p, quad_nodes=8)
 
 
 def test_generating_functions():

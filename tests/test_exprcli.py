@@ -278,3 +278,42 @@ def test_cli_kernel_check(capsys):
     capsys.readouterr()
     assert main(["kernel-check", "--q", "0.3", "--expr", "x^2"]) == 3
     capsys.readouterr()
+
+
+_CLI_MIX = (
+    ["eval", "--q", "0.5", "--expr", "x^2+1", "--x", "2"],
+    ["deficiency", "--q", "0.5", "--expr", "1/pinf(0.4)", "--value", "0", "--value", "inf",
+     "--rmin", "10", "--rmax", "1e6", "--points", "6", "--format", "json"],
+    ["eval", "--q", "0.5"],  # argparse error: --expr and --x missing
+    ["dq", "--q", "0.5", "--expr", "pinf(0.4)", "--x", "1.3", "--order", "2"],
+    ["eval", "--q", "2.0", "--expr", "x", "--x", "2"],  # exit 2
+    ["theta-verify", "--q", "0.2", "--identity", "square", "--format", "json"],
+    ["deficiency", "--q", "0.5", "--expr", "1/pinf(0.4)", "--value", "inf",
+     "--rmin", "10", "--rmax", "1e6", "--points", "6"],
+)
+
+
+def _cli_call(argv, capsys):
+    try:
+        rc = main(list(argv))
+    except SystemExit as exc:  # argparse usage errors exit from parse_args
+        rc = exc.code
+    cap = capsys.readouterr()
+    return rc, cap.out, cap.err
+
+
+def test_cli_parser_reuse_matches_fresh_parser(capsys):
+    # the parser is built once per process; alternating subcommands (with
+    # repeatable options and usage errors between them) through it must give
+    # the same output as a freshly built parser
+    from awnev import exprcli
+
+    fresh = []
+    for argv in _CLI_MIX:
+        exprcli._build_parser.cache_clear()
+        fresh.append(_cli_call(argv, capsys))
+    parser = exprcli._build_parser()
+    reused = [_cli_call(argv, capsys) for _ in range(2) for argv in _CLI_MIX]
+    assert exprcli._build_parser() is parser
+    assert reused == fresh + fresh
+    assert [rc for rc, _, _ in fresh] == [0, 0, 2, 0, 2, 0, 0]

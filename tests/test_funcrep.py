@@ -7,7 +7,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from awnev.errors import InvalidParams, PoleHit
+from awnev.errors import InvalidParams, NumericFailure, PoleHit
 from awnev.funcrep import (
     FunctionExpr,
     ProductFactor,
@@ -27,6 +27,15 @@ Q5 = QParam(0.5)
 
 def form(constant=1.0, poly=(), factors=(), q=Q5):
     return ProductForm(constant, poly, factors, q)
+
+
+def test_evaluate_nan_log_raises():
+    # a NaN log is a numeric failure, never the value 0
+    with pytest.raises(NumericFailure):
+        evaluate(form(float("nan"), (), (ProductFactor(0.3, 0.5, 1),)), 1.7)
+    with pytest.raises(NumericFailure):
+        evaluate(form(1.0, (1.0, complex(math.nan, 0.0))), 0.4)
+    assert evaluate(form(0.0), 1.7) == 0.0
 
 
 def test_evaluate_matches_direct_products():

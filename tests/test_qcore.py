@@ -7,6 +7,7 @@ defining quadratic.
 
 import cmath
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -14,12 +15,14 @@ import pytest
 
 from awnev.errors import InvalidParams
 from awnev.qcore import (
+    _BLOCK_ELEMS,
     DEFAULT_POLICY,
     QParam,
     TruncationPolicy,
     lattice_point,
     lift_to_z,
     lift_to_z_array,
+    _truncation_index,
     log_qpoch_infinite,
     qpoch_finite,
     qpoch_infinite,
@@ -56,6 +59,102 @@ def test_qpoch_infinite_mpmath_oracle(a, q):
     assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
 
 
+@pytest.mark.parametrize(
+    "a,q",
+    [
+        (0.5, 0.95),
+        (0.3, 0.99),
+        (-0.8 + 0.3j, 0.99),
+        (0.2 - 0.5j, 0.97 * cmath.exp(0.3j)),
+        (3.0 + 1.0j, 0.9j),
+        (-0.7 + 0.1j, 0.5 - 0.6j),
+        (0.4 + 0.3j, -0.6),
+        (2.0, -0.9),
+    ],
+)
+def test_log_qpoch_mpmath_oracle_hard_q(a, q):
+    # |q| near 1 (thousands of factors), complex and negative q, on both the
+    # scalar and the array path; log error budget 1e-12 max(1, |log|)
+    mpmath.mp.dps = 40
+    want = complex(mpmath.qp(a, q, maxterms=10**5))
+    log_abs, phase = math.log(abs(want)), want / abs(want)
+    tol = 1e-12 * max(1.0, abs(log_abs))
+    for lg in (log_qpoch_infinite(a, q), log_qpoch_infinite(np.array([0.1, a]), q)[1]):
+        assert abs(lg.real - log_abs) <= tol
+        assert abs(cmath.exp(1j * lg.imag) - phase) <= tol
+
+
+@pytest.mark.parametrize("q", [0.5, 0.9, -0.5, 0.3 + 0.4j])
+def test_log_qpoch_vector_huge_a_real_part(q):
+    # radii up to 1e30 put |a| near 1e31: no factor product may overflow
+    mpmath.mp.dps = 50
+    a = 10.0 ** np.linspace(0.0, 31.0, 9) * np.exp(1j * np.linspace(0.1, 3.0, 9))
+    got = log_qpoch_infinite(a, q).real
+    for g, x in zip(got, a):
+        want = float(mpmath.log(abs(mpmath.qp(mpmath.mpc(x), mpmath.mpc(q)))))
+        assert abs(g - want) <= 1e-12 * max(1.0, abs(want))
+
+
+def _loop_reference(a, q):
+    """One numpy pass per factor: the reference for the blocked kernel."""
+    a_arr = np.asarray(a, dtype=complex)
+    n = _truncation_index(float(np.max(np.abs(a_arr))), abs(q), DEFAULT_POLICY)
+    out = np.zeros_like(a_arr)
+    f = a_arr.copy()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(n):
+            out = out + np.log(1.0 - f)
+            f = f * q
+    return out
+
+
+# real and negative a put factors on the branch cut of the principal log
+_GRID_A = np.concatenate([
+    [0.0, 0.3, -0.7, 2.5, -4.0, 1e30, -1e30, 1e30j],
+    np.geomspace(1e-3, 1e30, 12) * np.exp(1j * np.linspace(-3.0, 3.0, 12)),
+])
+_GRID_Q = [0.3, 0.9, -0.5, -0.9, 0.3 + 0.4j, 0.8j, -0.6 - 0.5j]
+
+
+@pytest.mark.parametrize("q", _GRID_Q)
+def test_log_qpoch_paths_match_loop_reference(q):
+    # same per-factor principal logs: real and imaginary parts agree with the
+    # per-term loop, and a scalar agrees with its element of the array result
+    want = _loop_reference(_GRID_A, q)
+    vec = log_qpoch_infinite(_GRID_A, q)
+    assert vec.shape == _GRID_A.shape
+    for a, v, w in zip(_GRID_A, vec, want):
+        tol = 1e-12 * max(1.0, abs(w))
+        s = log_qpoch_infinite(complex(a), q)
+        assert isinstance(s, complex)
+        for got in (v, s):
+            assert abs(got.real - w.real) <= tol
+            assert abs(got.imag - w.imag) <= tol
+    # a 2-d input keeps its shape and elements
+    grid2 = _GRID_A.reshape(4, 5)
+    np.testing.assert_array_equal(log_qpoch_infinite(grid2, q), vec.reshape(4, 5))
+
+
+def test_log_qpoch_empty_array():
+    out = log_qpoch_infinite(np.zeros((0,), dtype=complex), 0.5)
+    assert out.shape == (0,)
+
+
+def test_log_qpoch_array_memory_is_output_plus_block():
+    # the array path holds at most one block temporary and its column sum
+    # beside the output, whatever the number of points
+    a = np.exp(1j * np.linspace(0.0, 6.0, 100_000)) * 1.7
+    log_qpoch_infinite(a[:10], 0.5)  # warm numpy's lazy set-up outside the trace
+    tracemalloc.start()
+    try:
+        out = log_qpoch_infinite(a, 0.5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    block = 2 * _BLOCK_ELEMS * out.itemsize
+    assert peak <= out.nbytes + block + 16 * 1024
+
+
 def test_qpoch_finite_direct_product():
     a, q, n = 0.7 - 0.2j, QParam(0.6), 9
     direct = 1.0 + 0.0j
@@ -71,6 +170,10 @@ def test_qpoch_infinite_exact_zero():
     assert qpoch_infinite(q.q**-2, q) == 0.0
     lg = log_qpoch_infinite(q.q**-2, q.q, DEFAULT_POLICY)
     assert np.isneginf(np.asarray(lg).real)
+    # the array path: only the element on the lattice gives -inf
+    lg = log_qpoch_infinite(np.array([0.3, q.q**-2, 4.0 + 1.0j]), q.q)
+    assert np.isneginf(lg[1].real)
+    assert np.isfinite(lg[[0, 2]]).all()
 
 
 def test_truncation_tail_respects_policy():
