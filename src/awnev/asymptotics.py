@@ -18,7 +18,7 @@ import numpy as np
 from .errors import DegenerateGenerator, OutOfRange
 from .funcrep import ProductFactor, ProductForm
 from .nevanlinna import proximity
-from .qcore import QParam, lift_to_z_array
+from .qcore import QParam, lift_to_z
 
 __all__ = [
     "NuTau",
@@ -75,7 +75,7 @@ def asym_log_modulus(a: complex, x: complex, q: QParam) -> float:
     (log|az|)^2 / (-2 log|q|) + (1/2) log|az| + log|1 - a q^(nu-1) z|.
     """
     a, x = complex(a), complex(x)
-    z = complex(lift_to_z_array(x))
+    z = lift_to_z(x)
     nt = nu_tau(a, z, q)
     laz = math.log(abs(a * z))
     tracked = abs(1.0 - a * q.q ** (nt.nu - 1) * z)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import BranchDegenerate, DegenerateGenerator, InvalidParams, SelfCheckFailed
 from .funcrep import FunctionExpr, ProductForm, evaluate
-from .qcore import DEFAULT_POLICY, QParam, lift_to_z_array, qpoch_finite
+from .qcore import DEFAULT_POLICY, QParam, lift_to_z, qpoch_finite
 
 __all__ = [
     "ChebKind",
@@ -84,10 +84,6 @@ def avg_breve(g, q: QParam):
     return ag
 
 
-def _lift(x: complex) -> complex:
-    return complex(lift_to_z_array(complex(x)))
-
-
 def _x_eval(f, x, policy):
     """Evaluate f at an x-point for the central-difference branch path."""
     if isinstance(f, (FunctionExpr, ProductForm)):
@@ -114,14 +110,14 @@ def aw_diff(f, x: complex, q: QParam = None, policy=DEFAULT_POLICY) -> complex:
         except Exception as exc:  # pragma: no cover - diagnostic path
             raise BranchDegenerate(f"derivative fallback failed at x = {x}") from exc
     g = as_breve(f, policy)
-    return dq_breve(g, q)(_lift(x))
+    return dq_breve(g, q)(lift_to_z(x))
 
 
 def aw_avg(f, x: complex, q: QParam = None, policy=DEFAULT_POLICY) -> complex:
     """(A_q f)(x) = (f-breve(q^(1/2) z) + f-breve(q^(-1/2) z))/2."""
     q = _operator_q(f, q)
     g = as_breve(f, policy)
-    return avg_breve(g, q)(_lift(complex(x)))
+    return avg_breve(g, q)(lift_to_z(x))
 
 
 def aw_diff_basis(n: int, a: complex, q: QParam) -> tuple[complex, complex]:
@@ -157,7 +153,7 @@ def aw_diff_iterate(f, k: int, x: complex, q: QParam = None, policy=DEFAULT_POLI
     g = as_breve(f, policy)
     for _ in range(k):
         g = dq_breve(g, q)
-    z = _lift(complex(x))
+    z = lift_to_z(x)
     if min(abs(z - 1.0), abs(z + 1.0)) <= BRANCH_POINT_TOL:
         # degenerate denominator; evaluate the symmetric limit a hair off
         z = z * (1.0 + 1e-6)

@@ -33,7 +33,7 @@ from .errors import (
     QuadratureNonconvergent,
 )
 from .funcrep import ProductFactor, ProductForm, evaluate
-from .qcore import DEFAULT_POLICY, QParam, lift_to_z_array, qpoch_finite, qpoch_infinite
+from .qcore import DEFAULT_POLICY, QParam, lift_to_z, qpoch_finite, qpoch_infinite
 
 __all__ = [
     "AWParams",
@@ -54,6 +54,9 @@ BRANCH_TOL = 1e-12
 # 1e-9 Rodrigues bound, while any error not caused by cancellation keeps its
 # full relative size.
 CANCEL_FLOOR = 1e-6
+# truncation tail left by the default number of terms of generating_residual:
+# four orders below the 1e-9 the residual is checked against
+GEN_TAIL_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -152,7 +155,7 @@ def _series_ratios(n: int, p: AWParams):
 
 def aw_polynomial(n: int, p: AWParams, x: complex, policy=DEFAULT_POLICY) -> complex:
     """p_n(x; a, b, c, d | q) evaluated at a complex point."""
-    z = complex(lift_to_z_array(complex(x)))
+    z = lift_to_z(x)
     return polynomial_breve(n, p, policy)(z)
 
 
@@ -186,7 +189,7 @@ def aw_weight(x: complex, p: AWParams, shift: int = 0, policy=DEFAULT_POLICY) ->
     x = complex(x)
     if min(abs(x - 1.0), abs(x + 1.0)) < 1e-9:
         raise BranchDegenerate("weight is singular at x = +-1")
-    z = complex(lift_to_z_array(x))
+    z = lift_to_z(x)
     return weight_breve(p, shift, policy)(z)
 
 
@@ -219,7 +222,7 @@ def eigen_residual(n: int, p: AWParams, grid=None, policy=DEFAULT_POLICY) -> flo
     outer = dq_breve(lambda z: wt(z) * flux(z), q)
     worst = 0.0
     for x in grid:
-        z = complex(lift_to_z_array(complex(x)))
+        z = lift_to_z(x)
         lhs = (1.0 - q.q) ** 2 * outer(z)
         rhs = lam * w0(z) * pn(z)
         scale = max(abs(lhs), abs(rhs), 1.0)
@@ -253,7 +256,7 @@ def rodrigues_residual(n: int, p: AWParams, grid=None, policy=DEFAULT_POLICY) ->
     pref, ratios = _series_ratios(n, p)
     worst = 0.0
     for x in grid:
-        z = complex(lift_to_z_array(complex(x)))
+        z = lift_to_z(x)
         lhs = g(z)
         w = const * w0(z)
         rhs = w * pn(z)
@@ -316,32 +319,68 @@ class GenKind(Enum):
     qUltraspherical = "qUltraspherical"
 
 
-def _hermite_coeff(k: int, z: complex, q: QParam) -> complex:
-    """H_k(x | q) = sum_j [k choose j]_q z^(k - 2j), z = e^(i theta)."""
-    qq_k = qpoch_finite(q.q, q, k)
+def _qpoch_table(a: complex, q: QParam, n: int) -> list:
+    """[(a; q)_0, ..., (a; q)_n], each by the sequential product of qpoch_finite.
+
+    Entry j is bit for bit ``qpoch_finite(a, q, j)``.
+    """
+    table = [1.0 + 0.0j]
+    f = complex(a)
+    for _ in range(n):
+        table.append(table[-1] * (1.0 - f))
+        f *= q.q
+    return table
+
+
+def _hermite_coeff(k: int, z: complex, qq: list) -> complex:
+    """H_k(x | q) = sum_j [k choose j]_q z^(k - 2j), z = e^(i theta).
+
+    ``qq`` is the table of (q; q)_j for j <= k.
+    """
     total = 0.0 + 0.0j
     for j in range(k + 1):
-        total += (
-            qq_k
-            / (qpoch_finite(q.q, q, j) * qpoch_finite(q.q, q, k - j))
-            * z ** (k - 2 * j)
-        )
+        total += qq[k] / (qq[j] * qq[k - j]) * z ** (k - 2 * j)
     return total
 
 
-def _ultra_coeff(n: int, z: complex, beta: complex, q: QParam) -> complex:
-    """C_n(x; beta | q) with T_m(x) = (z^m + z^(-m))/2."""
+def _ultra_coeff(n: int, z: complex, bb: list, qq: list) -> complex:
+    """C_n(x; beta | q) with T_m(x) = (z^m + z^(-m))/2.
+
+    ``bb`` and ``qq`` are the tables of (beta; q)_j and (q; q)_j for j <= n.
+    """
     total = 0.0 + 0.0j
     for k in range(n + 1):
         m = n - 2 * k
         cheb = 1.0 if m == 0 else (z**m + z**-m) / 2.0
-        total += (
-            qpoch_finite(beta, q, k)
-            * qpoch_finite(beta, q, n - k)
-            / (qpoch_finite(q.q, q, k) * qpoch_finite(q.q, q, n - k))
-            * cheb
-        )
+        total += bb[k] * bb[n - k] / (qq[k] * qq[n - k]) * cheb
     return total
+
+
+def _series_terms(ratio: float, abs_q: float, abs_beta: float) -> int:
+    """Smallest K >= 10 whose generating-series tail is at most GEN_TAIL_TOL.
+
+    With ratio = |t| max(|z|, 1/|z|), the k-th term of either series is at
+    most ratio^k m_k, where m_k = sum_j s_j s_(k-j) and
+    s_j = (-|beta|; |q|)_j / (|q|; |q|)_j (|beta| = 0 for q-Hermite):
+    |z^(k-2j)| and |T_(k-2j)| are at most max(|z|, 1/|z|)^k,
+    |(q; q)_j| >= (|q|; |q|)_j and |(beta; q)_j| <= (-|beta|; |q|)_j.
+    s_j increases to a limit S, so m_k <= (k + 1) S^2 and the tail after
+    K is at most S^2 ratio^(K+1) ((K + 2) - (K + 1) ratio) / (1 - ratio)^2.
+    """
+    # S: the factors of s_j (1 + |beta| p) / (1 - |q| p), p = |q|^j, taken
+    # until p is below roundoff; the rest of the product is at most
+    # exp(2 (|beta| + |q|) p / (1 - |q|)) for |q| p <= 1/2
+    log_s = 0.0
+    p = 1.0
+    while p > 1e-17:
+        log_s += math.log1p(abs_beta * p) - math.log1p(-abs_q * p)
+        p *= abs_q
+    log_s += 2.0 * (abs_beta + abs_q) * p / (1.0 - abs_q)
+    log_tol = math.log(GEN_TAIL_TOL) + 2.0 * math.log(1.0 - ratio) - 2.0 * log_s
+    K = 10
+    while (K + 1) * math.log(ratio) + math.log((K + 2) - (K + 1) * ratio) > log_tol:
+        K += 1
+    return K
 
 
 def generating_residual(
@@ -357,30 +396,30 @@ def generating_residual(
 
     qHermite: 1/(t e^(i theta), t e^(-i theta); q)_inf = sum H_k t^k/(q; q)_k.
     qUltraspherical: (beta t e^(+-i theta); q)_inf / (t e^(+-i theta); q)_inf
-    = sum C_n(x; beta) t^n.  K defaults to the point where the geometric
-    tail bound of the series drops below 1e-12.
+    = sum C_n(x; beta) t^n.  K defaults to the smallest number of terms
+    whose tail bound, which includes the growth of the coefficients
+    H_k/(q; q)_k and C_n(x; beta | q), is at most GEN_TAIL_TOL.
     """
     kind = GenKind(kind) if not isinstance(kind, GenKind) else kind
     t = complex(t)
     if not 0.0 < abs(t) < 1.0:
         raise OutOfRange("the series requires 0 < |t| < 1")
-    z = complex(lift_to_z_array(complex(x)))
+    z = lift_to_z(x)
     growth = max(abs(z), 1.0 / abs(z))
     if abs(t) * growth >= 1.0:
         raise OutOfRange("|t| max(|z|, 1/|z|) must be < 1 for convergence")
     if K is None:
-        # coefficients grow at most like C * growth^k; bound the tail
-        ratio = abs(t) * growth
-        K = max(10, math.ceil(math.log(1e-12 * (1.0 - ratio)) / math.log(ratio)))
+        abs_beta = 0.0 if kind is GenKind.qHermite else abs(complex(beta))
+        K = _series_terms(abs(t) * growth, q.abs_q, abs_beta)
+    qq = _qpoch_table(q.q, q, K)
     if kind is GenKind.qHermite:
         lhs = evaluate(
             ProductForm(1.0, (), (ProductFactor(t, q.q, -1),), q), x, policy
         )
-        series = sum(
-            _hermite_coeff(k, z, q) / qpoch_finite(q.q, q, k) * t**k for k in range(K + 1)
-        )
+        series = sum(_hermite_coeff(k, z, qq) / qq[k] * t**k for k in range(K + 1))
     else:
         beta = complex(beta)
+        bb = _qpoch_table(beta, q, K)
         lhs = evaluate(
             ProductForm(
                 1.0,
@@ -391,5 +430,5 @@ def generating_residual(
             x,
             policy,
         )
-        series = sum(_ultra_coeff(n, z, beta, q) * t**n for n in range(K + 1))
+        series = sum(_ultra_coeff(n, z, bb, qq) * t**n for n in range(K + 1))
     return abs(lhs - series)

@@ -63,7 +63,7 @@ from .nevanlinna import (
     radius_grid,
     share_check,
 )
-from .qcore import DEFAULT_POLICY, QParam, lift_to_z_array
+from .qcore import DEFAULT_POLICY, QParam, lift_to_z
 
 __all__ = [
     "Const",
@@ -816,7 +816,7 @@ def _asym_battery(a: complex, q: QParam, samples: int, policy):
         x = math.exp(rng.uniform(math.log(10.0), math.log(1e6))) * cmath.exp(
             1j * rng.uniform(0.0, 2.0 * math.pi)
         )
-        z = complex(lift_to_z_array(complex(x)))
+        z = lift_to_z(x)
         exact = form.breve_log(z, policy).real
         approx = asym_log_modulus(a, x, q)
         worst = max(worst, abs(exact - approx))

@@ -22,7 +22,7 @@ from .qcore import (
     QParam,
     TruncationPolicy,
     lattice_point,
-    lift_to_z_array,
+    lift_to_z,
     log_qpoch_infinite,
     qpoch_infinite,
 )
@@ -187,7 +187,7 @@ def evaluate(f, x: complex, policy: TruncationPolicy = DEFAULT_POLICY) -> comple
     if isinstance(f, ProductForm):
         f = f.as_expr()
     _pole_guard(f, x)
-    z = complex(lift_to_z_array(complex(x)))
+    z = lift_to_z(x)
     lg = f.breve_log(z, policy)
     if lg.real == -math.inf:
         return 0.0 + 0.0j
@@ -298,7 +298,7 @@ def zero_pole_ledger(f: ProductForm, r: float):
         for root in roots:
             x = complex(root)
             if abs(x) < r:
-                z = complex(lift_to_z_array(x))
+                z = lift_to_z(x)
                 events.append(
                     LatticeEvent(
                         x=x,

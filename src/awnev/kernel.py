@@ -25,7 +25,8 @@ from .errors import (
     VerificationFailed,
 )
 from .funcrep import FunctionExpr, ProductFactor, ProductForm, evaluate, zero_pole_ledger
-from .qcore import DEFAULT_POLICY, QParam, lift_to_z_array, qpoch_infinite
+from .nevanlinna import _newton_polish
+from .qcore import DEFAULT_POLICY, QParam, qpoch_infinite
 
 __all__ = [
     "KernelTermSpec",
@@ -251,32 +252,13 @@ def _annulus_roots(f: FunctionExpr, q: QParam, policy, sectors=64):
 
 
 def _refine_root(f: FunctionExpr, z: complex, mult: int, policy) -> complex:
-    """Polish an annulus zero of multiplicity mult by modified Newton steps.
-
-    For a zero of multiplicity m the step is m * F / F' (quadratically
-    convergent); the derivative is taken by central difference.  Iteration
-    stops once the step stagnates at the roundoff floor of F.
-    """
+    """Polish an annulus zero of multiplicity mult by modified Newton steps."""
 
     def val(w):
         lg = f.breve_log(complex(w), policy)
         return cmath.exp(lg) if lg.real != -math.inf else 0.0 + 0.0j
 
-    best = z
-    last = math.inf
-    for _ in range(60):
-        h = 1e-6 * abs(z)
-        d = (val(z + h) - val(z - h)) / (2.0 * h)
-        if d == 0:
-            break
-        step = mult * val(z) / d
-        z = z - step
-        if abs(step) >= last:
-            break  # hit the roundoff floor
-        best, last = z, abs(step)
-        if last < 1e-13 * abs(z):
-            break
-    return best
+    return _newton_polish(val, z, mult)[0]
 
 
 def _same_class(z1: complex, z2: complex, q: QParam) -> bool:

@@ -31,7 +31,7 @@ from .funcrep import (
     merged_ledger,
     zero_pole_ledger,
 )
-from .qcore import DEFAULT_POLICY, lift_to_z_array
+from .qcore import DEFAULT_POLICY, lift_to_z, lift_to_z_array
 
 __all__ = [
     "CharRecord",
@@ -54,6 +54,34 @@ __all__ = [
 CONTOUR_RTOL = 1e-8
 ORDER_RADIUS = 1e-5
 ORDER_RESIDUE_TOL = 0.2
+# argument_principle_count refuses a circle with an event modulus within this
+# share of r: the phase of f - a turns by about pi over an arc that short,
+# some 14 bisections below the spacing of 512 nodes
+WINDING_CONTOUR_RTOL = 1e-6
+# samples per box edge, both corners included: the phase path bisects any
+# step above pi/2, while a step that turns by a multiple of 2 pi goes unseen;
+# 24 makes that rare away from multiple a-points
+BOX_EDGE_SAMPLES = 24
+# edge below which a box with two or more a-points (a cluster or a multiple
+# point) stops splitting and reports its centre: on the edges of such a box
+# a double a-point still leaves |f - a| ~ 1e-14 |f''|, above roundoff
+APOINT_MIN_SIZE = 1e-7
+# boxes with an edge below this share of r are small: a small box with one
+# a-point is handed to Newton (from a larger box the start is too far from
+# the point for Newton to be worth the evaluations), and a small box with
+# several whose quarters cannot be counted is reported as a cluster
+SMALL_BOX_RTOL = 0.05
+# a Newton point is kept when its last step is below NEWTON_STEP_RTOL and
+# |f - a| below NEWTON_RESIDUAL_RTOL, each relative to max(1, |.|); steps
+# shrink quadratically at a simple a-point, so a converged iteration ends far
+# below the first and a wandering one far above it
+NEWTON_STEP_RTOL = 1e-9
+NEWTON_RESIDUAL_RTOL = 1e-9
+# relative roundoff of a value of f (a sum of up to a few thousand factor
+# logs); a Newton point is kept only if f - a changed by this much moves it
+# by less than the step tolerance, which a multiple a-point fails: there
+# f - a reads exactly 0 well before the point, and the iteration stops
+F_ROUNDOFF_RTOL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -269,7 +297,7 @@ def aw_counting(f, r: float, target: str = "Zero", policy=DEFAULT_POLICY) -> AWC
         s = q.sqrt_q
 
         def G_slow(x):
-            z = complex(lift_to_z_array(complex(x)))
+            z = lift_to_z(x)
             return dg(s * z)
 
     n_aw = 0
@@ -307,7 +335,7 @@ def aw_counting_at(f, a, r: float, policy=DEFAULT_POLICY) -> AWCountRecord:
     s = q.sqrt_q
 
     def G(x):
-        z = complex(lift_to_z_array(complex(x)))
+        z = lift_to_z(x)
         return dg(s * z)
 
     n_aw = 0
@@ -446,7 +474,7 @@ def argument_principle_count(
     """Winding number of f - a along |x| = r: zeros minus poles inside."""
     f = _as_expr(f)
     for ev in _all_events(f, 4.0 * r):
-        if abs(ev.modulus - r) <= 1e-6 * r:
+        if abs(ev.modulus - r) <= WINDING_CONTOUR_RTOL * r:
             raise ContourTooClose(f"event modulus {ev.modulus} too close to r = {r}")
     thetas = np.linspace(0.0, 2.0 * math.pi, nodes + 1)
     pts = r * np.exp(1j * thetas)
@@ -457,68 +485,154 @@ def argument_principle_count(
     return int(round(winding))
 
 
-def _box_winding(f, a, x0, x1, policy, per_edge=24):
-    """Winding of f - a around a closed rectangle [re0,re1] x [im0,im1]."""
-    corners = [
-        complex(x0.real, x0.imag),
-        complex(x1.real, x0.imag),
-        complex(x1.real, x1.imag),
-        complex(x0.real, x1.imag),
-        complex(x0.real, x0.imag),
-    ]
-    total = 0.0
-    for c0, c1 in zip(corners[:-1], corners[1:]):
-        seg = [c0 + (c1 - c0) * t for t in np.linspace(0.0, 1.0, per_edge)]
-        total += _phase_path(f, a, seg, policy)
+def _box_winding(f, a, x0, x1, policy):
+    """Winding of f - a around the closed rectangle with corners x0, x1.
+
+    The whole perimeter is one phase path: one ``breve_log`` call on
+    BOX_EDGE_SAMPLES per edge (corners shared), plus one per refined step.
+    """
+    corners = np.array([x0, complex(x1.real, x0.imag), x1, complex(x0.real, x1.imag), x0])
+    t = np.linspace(0.0, 1.0, BOX_EDGE_SAMPLES)[:-1]
+    edges = corners[:-1, None] + (corners[1:] - corners[:-1])[:, None] * t
+    total = _phase_path(f, a, np.append(edges.ravel(), x0), policy)
     w = total / (2.0 * math.pi)
     if abs(w - round(w)) > 0.25:
         raise PhaseJumpTooLarge("box winding did not settle to an integer")
     return int(round(w))
 
 
-def apoint_events(f, a: complex, r: float, policy=DEFAULT_POLICY, min_size=1e-7):
+def _newton_polish(val, z: complex, mult: int, floor: float = 0.0):
+    """Polish a zero of multiplicity mult of val by modified Newton steps.
+
+    For a zero of multiplicity m the step is m * F / F' (quadratically
+    convergent); the derivative is taken by central difference with step
+    1e-6 * max(|z|, floor).  Iteration stops once the step stagnates at the
+    roundoff floor of F or drops below 1e-13 * max(|z|, floor).  Returns
+    the last iterate before stagnation and the size of the step that
+    produced it (inf when no step was taken).
+    """
+    best = z
+    last = math.inf
+    for _ in range(60):
+        h = 1e-6 * max(abs(z), floor)
+        d = (val(z + h) - val(z - h)) / (2.0 * h)
+        if d == 0:
+            break
+        step = mult * val(z) / d
+        z = z - step
+        if abs(step) >= last:
+            break  # hit the roundoff floor
+        best, last = z, abs(step)
+        if last < 1e-13 * max(abs(z), floor):
+            break
+    return best, last
+
+
+def _polish_apoint(f, a, x0, x1, policy):
+    """The single a-point in the box [x0, x1] by Newton from its centre, or None."""
+
+    def val(x):
+        lg = f.breve_log(lift_to_z(x), policy)
+        return cmath.exp(lg) - a if lg.real != -math.inf else -a
+
+    try:
+        x, step = _newton_polish(val, 0.5 * (x0 + x1), 1, floor=1.0)
+        h = 1e-6 * max(abs(x), 1.0)
+        slope = abs(val(x + h) - val(x - h)) / (2.0 * h)
+        residual = abs(val(x))
+    except OverflowError:  # an iterate went where |f| overflows
+        return None
+    tol_x = NEWTON_STEP_RTOL * max(1.0, abs(x))
+    tol_f = max(1.0, abs(a))
+    # written so that a NaN fails every test
+    if not (
+        step <= tol_x
+        and residual <= NEWTON_RESIDUAL_RTOL * tol_f
+        and F_ROUNDOFF_RTOL * tol_f <= slope * tol_x
+        and x0.real <= x.real <= x1.real
+        and x0.imag <= x.imag <= x1.imag
+    ):
+        return None
+    return x
+
+
+def apoint_events(f, a: complex, r: float, policy=DEFAULT_POLICY, min_size=APOINT_MIN_SIZE):
     """Locate a-points of f in |x| < r by quadtree subdivision.
 
-    Returns a list of (location, multiplicity).  Pole windings are
-    corrected using the exact pole ledger.  Intended for modest radii;
-    cost grows with the number of a-points.
+    Returns a list of (location, multiplicity), sorted by modulus.  The
+    count in each box is the winding of f - a around it, corrected by the
+    exact pole ledger; counts come from windings only.  A box whose count
+    is exactly 1 and whose edge is below SMALL_BOX_RTOL * r is handed to
+    Newton on f - a from its centre: the point is kept when the iteration
+    converged (NEWTON_STEP_RTOL, NEWTON_RESIDUAL_RTOL), the point is simple
+    enough for roundoff in f to move it less than that (F_ROUNDOFF_RTOL) and
+    it lies in the box, so it is accurate to the roundoff of f - a over
+    |f'| (about 1e-13 relative at a well-separated point); otherwise the box
+    is split.  A box holding two or more a-points (a cluster or a multiple
+    point) is bisected down to ``min_size`` and reported at its centre,
+    within ``min_size`` of its points.  A small such box is reported early,
+    within its own size of its points, when its quarters cannot be counted:
+    an edge through the roundoff floor of f - a at a multiple point (about
+    sqrt(1e-16 |a|) away at a double one) gives no winding, or windings
+    that do not add up.  Any other box whose quarters' counts do not add up
+    raises PhaseJumpTooLarge.  Intended for modest radii; cost grows with
+    the number of a-points.
     """
     f = _as_expr(f)
     poles = merged_ledger(f, 2.0 * r * math.sqrt(2.0), "Pole")
 
-    def poles_in(x0, x1):
-        return sum(
+    def count(x0, x1):
+        poles_in = sum(
             -e.multiplicity
             for e in poles
             if x0.real < e.x.real <= x1.real and x0.imag < e.x.imag <= x1.imag
         )
+        return _box_winding(f, a, x0, x1, policy) + poles_in
 
     # slightly irrational offset so lattice points never sit on box edges
     eps = r * 1e-4 * (1.0 + math.pi / 1e3)
+    x0, x1 = complex(-r - eps, -r - eps), complex(r + eps * 1.3, r + eps * 1.3)
     found = []
-    stack = [(complex(-r - eps, -r - eps), complex(r + eps * 1.3, r + eps * 1.3))]
+    stack = [(x0, x1, count(x0, x1))]
     while stack:
-        x0, x1 = stack.pop()
-        w = _box_winding(f, a, x0, x1, policy)
-        nz = w + poles_in(x0, x1)
+        x0, x1, nz = stack.pop()
         if nz <= 0:
             continue
+        center = 0.5 * (x0 + x1)
         size = max(x1.real - x0.real, x1.imag - x0.imag)
+        small = size < SMALL_BOX_RTOL * r
         if size < min_size:
-            center = 0.5 * (x0 + x1)
             if abs(center) < r:
                 found.append((center, nz))
             continue
+        if nz == 1 and small:
+            x = _polish_apoint(f, a, x0, x1, policy)
+            if x is not None:
+                if abs(x) < r:
+                    found.append((x, 1))
+                continue
         mx = 0.5 * (x0.real + x1.real)
         my = 0.5 * (x0.imag + x1.imag)
-        stack.extend(
-            [
-                (x0, complex(mx, my)),
-                (complex(mx, x0.imag), complex(x1.real, my)),
-                (complex(x0.real, my), complex(mx, x1.imag)),
-                (complex(mx, my), x1),
-            ]
-        )
+        quarters = [
+            (x0, complex(mx, my)),
+            (complex(mx, x0.imag), complex(x1.real, my)),
+            (complex(x0.real, my), complex(mx, x1.imag)),
+            (complex(mx, my), x1),
+        ]
+        cluster = nz > 1 and small
+        try:
+            counts = [count(*box) for box in quarters]
+        except (ContourTooClose, PhaseJumpTooLarge):
+            if not cluster:
+                raise
+            counts = None
+        if counts is None or min(counts) < 0 or sum(counts) != nz:
+            if not cluster:
+                raise PhaseJumpTooLarge(f"quarter counts {counts} do not add up to {nz}")
+            if abs(center) < r:
+                found.append((center, nz))
+            continue
+        stack.extend((*box, n) for box, n in zip(quarters, counts))
     found.sort(key=lambda p: abs(p[0]))
     return found
 

@@ -18,7 +18,6 @@ from .errors import DegenerateGenerator, InvalidParams, TruncationExceeded
 
 __all__ = [
     "QParam",
-    "JoukowskiPoint",
     "TruncationPolicy",
     "DEFAULT_POLICY",
     "qpoch_finite",
@@ -70,14 +69,6 @@ class TruncationPolicy:
 DEFAULT_POLICY = TruncationPolicy()
 
 
-@dataclass(frozen=True)
-class JoukowskiPoint:
-    """A point x together with its chosen branch representative z, |z| >= 1."""
-
-    x: complex
-    z: complex
-
-
 def _as_q(q) -> complex:
     return q.q if isinstance(q, QParam) else complex(q)
 
@@ -127,15 +118,17 @@ def _truncation_index(abs_a: float, abs_q: float, policy: TruncationPolicy) -> i
 
 
 def log_qpoch_infinite(a, q, policy: TruncationPolicy = DEFAULT_POLICY):
-    """log (a; q)_infinity with absolute log-error <= policy.abs_tol.
+    """log (a; q)_infinity, truncated after a tail of at most policy.abs_tol.
 
     ``a`` may be a complex scalar or a numpy array (vectorized over a).
     Returns the sum of the principal-branch logs of the factors
-    1 - a q^k, k < N, with N from the tail bound of the largest |a|: the
-    real part is exact within that bound, the imaginary part is the
-    per-factor principal-value sum (not reduced mod 2 pi; adequate
-    everywhere we consume it).  A factor vanishing exactly yields real
-    part -inf.
+    1 - a q^k, k < N, with N from the tail bound of the largest |a|.
+    ``abs_tol`` bounds the truncation only: the summed roundoff of the N
+    factor logs comes on top of it and grows with N (about 7e-13 on the
+    scalar path at a = -0.8+0.3j, q = 0.99, ~3500 factors).  The
+    imaginary part is the per-factor principal-value sum (not reduced
+    mod 2 pi; adequate everywhere we consume it).  A factor vanishing
+    exactly yields real part -inf.
 
     A scalar ``a`` runs a plain ``cmath`` loop and returns
     ``complex(-inf, 0)`` at the first exactly vanishing factor.  An array
@@ -213,10 +206,13 @@ def lift_to_z_array(x) -> np.ndarray:
     return z
 
 
-def lift_to_z(x: complex) -> JoukowskiPoint:
-    """Lift a single point to its |z| >= 1 branch representative."""
-    z = complex(lift_to_z_array(complex(x)))
-    return JoukowskiPoint(x=complex(x), z=z)
+def lift_to_z(x: complex) -> complex:
+    """Lift a single point to its |z| >= 1 branch representative.
+
+    Goes through :func:`lift_to_z_array`, so scalar and array lifts agree
+    bit for bit.
+    """
+    return complex(lift_to_z_array(complex(x)))
 
 
 def lattice_point(a: complex, q, n: int) -> complex:

@@ -1,11 +1,13 @@
 """Askey-Wilson polynomials: values, eigen equation, Rodrigues, orthogonality."""
 
+import cmath
 import itertools
 import math
 
 import numpy as np
 import pytest
 
+from awnev import awpoly
 from awnev.awpoly import (
     AWParams,
     GenKind,
@@ -133,6 +135,47 @@ def test_generating_functions():
         assert generating_residual(GenKind.qHermite, 0.3, None, x, q) < 1e-9
         assert generating_residual(GenKind.qUltraspherical, 0.3, 0.2, x, q) < 1e-9
     assert generating_residual("qHermite", 0.45, None, 0.1, QParam(0.3)) < 1e-9
+
+
+def test_generating_default_terms_reach_tail_bound():
+    # at q = 0.9 the coefficients H_k/(q;q)_k and C_n grow for dozens of
+    # terms; a K chosen from |t| alone (26 here) left a tail of ~2.6e-10
+    q = QParam(0.9)
+    for kind, beta in ((GenKind.qHermite, None), (GenKind.qUltraspherical, 0.2)):
+        default = generating_residual(kind, 0.33, beta, 0.48, q)
+        longer = generating_residual(kind, 0.33, beta, 0.48, q, K=80)
+        assert abs(default - longer) <= 1e-12
+
+
+def test_generating_coefficient_tables_match_qpoch_finite():
+    # the tables reuse qpoch_finite's sequential products, so each
+    # coefficient is bit for bit the one formed from qpoch_finite directly
+    q = QParam(0.9)
+    z = cmath.exp(0.7j)
+    beta = 0.2 + 0.1j
+    qq = awpoly._qpoch_table(q.q, q, 30)
+    bb = awpoly._qpoch_table(beta, q, 30)
+    for j in range(31):
+        assert qq[j] == qpoch_finite(q.q, q, j)
+        assert bb[j] == qpoch_finite(beta, q, j)
+    for n in (0, 1, 7, 30):
+        herm = ultra = 0.0 + 0.0j
+        for k in range(n + 1):
+            herm += (
+                qpoch_finite(q.q, q, n)
+                / (qpoch_finite(q.q, q, k) * qpoch_finite(q.q, q, n - k))
+                * z ** (n - 2 * k)
+            )
+            m = n - 2 * k
+            cheb = 1.0 if m == 0 else (z**m + z**-m) / 2.0
+            ultra += (
+                qpoch_finite(beta, q, k)
+                * qpoch_finite(beta, q, n - k)
+                / (qpoch_finite(q.q, q, k) * qpoch_finite(q.q, q, n - k))
+                * cheb
+            )
+        assert awpoly._hermite_coeff(n, z, qq) == herm
+        assert awpoly._ultra_coeff(n, z, bb, qq) == ultra
 
 
 def test_generating_preconditions():

@@ -5,15 +5,18 @@ import math
 import numpy as np
 import pytest
 
-from awnev.errors import GridTooSmall, InvalidParams
+from awnev import nevanlinna
+from awnev.errors import GridTooSmall, InvalidParams, PhaseJumpTooLarge
 from awnev.funcrep import (
     FunctionExpr,
     ProductFactor,
     ProductForm,
     build_named,
+    evaluate,
     merged_ledger,
 )
 from awnev.nevanlinna import (
+    apoint_events,
     argument_principle_count,
     aw_counting,
     aw_counting_at,
@@ -149,6 +152,101 @@ def test_argument_principle_matches_ledger():
             )
             signed = argument_principle_count(f, 0.0, r)
             assert signed == ledger_zero - ledger_pole
+
+
+# phi(x; c) at generic values a, from the benchmark's aw_counting_at slots:
+# (q, c, a, r, a-points located by bisecting every box down to 1e-7)
+APOINT_CASES = [
+    (0.14, 0.6, 0.5 + 0.5j, 2.0, [0.6245703112550237 - 0.424059707432209j]),
+    (0.22, 0.031 + 0.441j, -0.6 + 0.9j, 2.83, [-1.4425742721704404 - 1.224294247676855j]),
+    (
+        0.3,
+        1.0,
+        0.5 + 0.5j,
+        2.6,
+        [0.546879987313919 - 0.25651020776369726j, 2.461232826897871 + 0.49741951563667897j],
+    ),
+    (
+        0.25,
+        0.9 + 0.2j,
+        -1.1 - 0.7j,
+        10.0,
+        [
+            1.25292149176602 + 0.9753766589562717j,
+            1.6364338504307478 - 1.5492400255663394j,
+            8.84068621555799 - 1.7573609831439172j,
+        ],
+    ),
+]
+
+
+@pytest.mark.parametrize("qv, c, a, r, expected", APOINT_CASES)
+def test_apoint_events_generic_value(qv, c, a, r, expected):
+    q = QParam(qv)
+    f = FunctionExpr(((1.0, ProductForm(1.0, (), (ProductFactor(c, q.q, 1),), q)),))
+    pts = apoint_events(f, a, r)
+    poles = sum(-ev.multiplicity for ev in merged_ledger(f, r, "Pole"))
+    assert sum(h for _, h in pts) == argument_principle_count(f, a, r) + poles
+    assert [h for _, h in pts] == [1] * len(expected)
+    for (x0, _), want in zip(pts, expected):
+        assert abs(evaluate(f, x0) - a) <= 1e-9 * max(1.0, abs(a))
+        assert abs(x0 - want) <= 2e-7
+
+
+@pytest.mark.parametrize("r", [1.0, 2.0])
+def test_apoint_events_double_point(r):
+    # 1 + x^2 = 1 only at x = 0, twice: the cluster path bisects it.  At
+    # r = 2 a quarter's edge passes through the roundoff floor of f - a
+    # near 0 (|x| ~ 1e-8), and the box above it is reported instead.
+    f = ProductForm(1.0, (1.0, 0.0, 1.0), (), Q5)
+    pts = apoint_events(f, 1.0, r)
+    assert len(pts) == 1
+    x0, h = pts[0]
+    assert h == 2
+    assert abs(x0) <= 1e-6
+
+
+def test_apoint_events_unresolved_triple_point_raises():
+    # 1 + x^3 = 1 at x = 0, three times, 1.5e-5 from both first-level
+    # edges: the quarters alias the winding into counts 1, 1, 1, 0, and
+    # Newton on the quarter holding x = 0 stops where f - a reads 0.  The
+    # search must fail rather than report a simple a-point.
+    f = ProductForm(1.0, (1.0, 0.0, 0.0, 1.0), (), Q5)
+    with pytest.raises(PhaseJumpTooLarge):
+        apoint_events(f, 1.0, 1.0)
+
+
+def test_apoint_events_newton_fallback(monkeypatch):
+    # The first boxes handed to Newton have edge s = (first square) / 64.  p1
+    # sits 6e-4 r right of the first-level edge Re x = mx, near the bottom
+    # corner of its box; p2 sits just left of that edge, level with the
+    # box centre, so Newton from the centre finds p2, outside the box, and
+    # the box has to be split before p1 is polished.
+    r = 2.0
+    eps = r * 1e-4 * (1.0 + math.pi / 1e3)
+    lo, hi = -r - eps, r + 1.3 * eps
+    mx = 0.5 * (lo + hi)
+    s = (hi - lo) / 64
+    bottom = lo + 40 * s
+    p1 = complex(mx + 0.02 * s, bottom + 0.05 * s)
+    p2 = complex(mx - 0.02 * s, bottom + 0.5 * s)
+    a = 0.5 + 0.5j
+    coeffs = np.polynomial.polynomial.polyfromroots([p1, p2])
+    coeffs[0] += a
+    f = ProductForm(1.0, tuple(coeffs), (), Q5)
+    tried = []
+    polish = nevanlinna._polish_apoint
+
+    def spy(*args):
+        tried.append(polish(*args))
+        return tried[-1]
+
+    monkeypatch.setattr(nevanlinna, "_polish_apoint", spy)
+    pts = apoint_events(f, a, r)
+    assert None in tried
+    assert sum(h for _, h in pts) == argument_principle_count(f, a, r) == 2
+    got = sorted((x for x, _ in pts), key=lambda x: x.imag)
+    assert abs(got[0] - p1) <= 1e-12 and abs(got[1] - p2) <= 1e-12
 
 
 def test_deficiencies_one_over_three():

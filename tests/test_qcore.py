@@ -196,7 +196,7 @@ def test_lift_branch_and_quadratic():
     rng = np.random.default_rng(1)
     for _ in range(200):
         x = complex(rng.normal(scale=3.0), rng.normal(scale=3.0))
-        z = complex(lift_to_z_array(x))
+        z = lift_to_z(x)
         assert abs((z + 1.0 / z) / 2.0 - x) <= 1e-12 * max(1.0, abs(x))
         assert abs(z) >= 1.0 - 1e-12
 
@@ -212,7 +212,10 @@ def test_lift_vectorized_matches_scalar():
     xs = np.array([2.0, -3.0 + 1.0j, 0.1, -0.99])
     zs = lift_to_z_array(xs)
     for x, z in zip(xs, zs):
-        assert abs(complex(lift_to_z_array(complex(x))) - z) < 1e-13
+        assert abs(lift_to_z(x) - z) < 1e-13
+        # the scalar lift is the array lift of one point, bit for bit
+        assert type(lift_to_z(x)) is complex
+        assert lift_to_z(x) == complex(lift_to_z_array(complex(x)))
 
 
 def test_lattice_point_formula():
