@@ -100,7 +100,7 @@ class AWParams:
         return True
 
 
-def polynomial_breve(n: int, p: AWParams, policy=DEFAULT_POLICY):
+def polynomial_breve(n: int, p: AWParams):
     """The n-th polynomial as a z-symmetric breve callable.
 
     p_n = a^(-n) (ab, ac, ad; q)_n * sum of n+1 terms with the term ratio
@@ -153,10 +153,10 @@ def _series_ratios(n: int, p: AWParams):
     return pref, ratios
 
 
-def aw_polynomial(n: int, p: AWParams, x: complex, policy=DEFAULT_POLICY) -> complex:
+def aw_polynomial(n: int, p: AWParams, x: complex) -> complex:
     """p_n(x; a, b, c, d | q) evaluated at a complex point."""
     z = lift_to_z(x)
-    return polynomial_breve(n, p, policy)(z)
+    return polynomial_breve(n, p)(z)
 
 
 def weight_breve(p: AWParams, shift: int = 0, policy=DEFAULT_POLICY):
@@ -215,7 +215,7 @@ def eigen_residual(n: int, p: AWParams, grid=None, policy=DEFAULT_POLICY) -> flo
         grid = _default_x_grid()
     q = p.q
     lam = eigenvalue(n, p)
-    pn = polynomial_breve(n, p, policy)
+    pn = polynomial_breve(n, p)
     flux = dq_breve(pn, q)
     wt = weight_breve(p, 1, policy)
     w0 = weight_breve(p, 0, policy)
@@ -252,7 +252,7 @@ def rodrigues_residual(n: int, p: AWParams, grid=None, policy=DEFAULT_POLICY) ->
         g = dq_breve(g, q)
     const = ((q.q - 1.0) / 2.0) ** (-n) * q.q ** (-n * (n - 1) / 4.0)
     w0 = weight_breve(p, 0, policy)
-    pn = polynomial_breve(n, p, policy)
+    pn = polynomial_breve(n, p)
     pref, ratios = _series_ratios(n, p)
     worst = 0.0
     for x in grid:
@@ -281,8 +281,8 @@ def orthogonality_check(
     """
     if not p.admissible():
         raise OutOfRange("orthogonality requires admissible parameters")
-    pm = polynomial_breve(m, p, policy)
-    pn = polynomial_breve(n, p, policy)
+    pm = polynomial_breve(m, p)
+    pn = polynomial_breve(n, p)
     ps = p.params()
     q = p.q
 

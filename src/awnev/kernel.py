@@ -18,6 +18,7 @@ import numpy as np
 
 from .awops import aw_diff
 from .errors import (
+    ContourTooClose,
     DegenerateGenerator,
     InvalidParams,
     PhaseJumpTooLarge,
@@ -25,7 +26,7 @@ from .errors import (
     VerificationFailed,
 )
 from .funcrep import FunctionExpr, ProductFactor, ProductForm, evaluate, zero_pole_ledger
-from .nevanlinna import _newton_polish
+from .nevanlinna import _newton_polish, _rect_winding
 from .qcore import DEFAULT_POLICY, QParam, qpoch_infinite
 
 __all__ = [
@@ -33,6 +34,7 @@ __all__ = [
     "KernelSolution",
     "make_fab",
     "kernel_member",
+    "kernel_residual",
     "kernel_pair_form",
     "kernel_sum_expr",
     "kernel_solve",
@@ -128,8 +130,8 @@ def _default_grid(f: FunctionExpr, npts: int, rmin=2.0, rmax=50.0, seed=5):
     return pts
 
 
-def kernel_member(f: FunctionExpr, grid=None, tol: float = 1e-8, policy=DEFAULT_POLICY) -> bool:
-    """True iff the divided difference of f vanishes (relatively) on the grid."""
+def kernel_residual(f: FunctionExpr, grid=None, policy=DEFAULT_POLICY) -> float:
+    """Max over the grid of |D_q f| / max(1, |f|) (40 default points clear of the lattices)."""
     if isinstance(f, ProductForm):
         f = f.as_expr()
     if grid is None:
@@ -139,50 +141,20 @@ def kernel_member(f: FunctionExpr, grid=None, tol: float = 1e-8, policy=DEFAULT_
         fx = evaluate(f, x, policy)
         d = aw_diff(f, x, policy=policy)
         worst = max(worst, abs(d) / max(1.0, abs(fx)))
-    return worst < tol
+    return worst
+
+
+def kernel_member(f: FunctionExpr, grid=None, tol: float = 1e-8, policy=DEFAULT_POLICY) -> bool:
+    """True iff the divided difference of f vanishes (relatively) on the grid."""
+    return kernel_residual(f, grid, policy) < tol
 
 
 # --- solver ---------------------------------------------------------------------
 
 
-def _z_phases(f: FunctionExpr, pts, policy):
-    lg = f.breve_log(np.asarray(pts, dtype=complex), policy)
-    return np.asarray(lg).imag
-
-
-def _path_winding(f: FunctionExpr, pts, policy, depth=0) -> float:
-    phases = _z_phases(f, pts, policy)
-    total = 0.0
-    for i in range(len(pts) - 1):
-        d = phases[i + 1] - phases[i]
-        d = (d + math.pi) % (2.0 * math.pi) - math.pi
-        if abs(d) > 0.5 * math.pi:
-            if depth >= 28:
-                raise PhaseJumpTooLarge("z-plane phase refinement exhausted")
-            mid = cmath.sqrt(pts[i] * pts[i + 1])
-            if abs(mid - pts[i]) > abs(-mid - pts[i]):
-                mid = -mid
-            d = _path_winding(f, [pts[i], mid], policy, depth + 1) + _path_winding(
-                f, [mid, pts[i + 1]], policy, depth + 1
-            )
-        total += d
-    return total
-
-
 def _cell_count(f, u0, u1, t0, t1, policy, per_edge=12):
     """Zero count of f-breve inside the log-annulus cell exp([u0,u1] x i[t0,t1])."""
-    edges = []
-    us = np.linspace(u0, u1, per_edge)
-    ts = np.linspace(t0, t1, per_edge)
-    edges.append(np.exp(us + 1j * t0))
-    edges.append(np.exp(u1 + 1j * ts))
-    edges.append(np.exp(us[::-1] + 1j * t1))
-    edges.append(np.exp(u0 + 1j * ts[::-1]))
-    total = sum(_path_winding(f, list(e), policy) for e in edges)
-    w = total / (2.0 * math.pi)
-    if abs(w - round(w)) > 0.25:
-        raise PhaseJumpTooLarge("cell winding did not settle")
-    return int(round(w))
+    return _rect_winding(f, 0, complex(u0, t0), complex(u1, t1), per_edge, np.exp, policy)
 
 
 def _annulus_roots(f: FunctionExpr, q: QParam, policy, sectors=64):
@@ -246,7 +218,8 @@ def _annulus_roots(f: FunctionExpr, q: QParam, policy, sectors=64):
             if sum(c for _, c in roots) != total:
                 raise PhaseJumpTooLarge("lost roots during subdivision")
             return roots, total
-        except PhaseJumpTooLarge:
+        except (PhaseJumpTooLarge, ContourTooClose):
+            # ContourTooClose: a cell edge passes through a zero
             continue
     raise RootNotFound("annulus root search failed for every boundary offset")
 

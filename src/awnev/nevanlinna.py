@@ -11,6 +11,7 @@ defect-relation / second-main / shared-value numeric checkers.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -58,10 +59,18 @@ ORDER_RESIDUE_TOL = 0.2
 # share of r: the phase of f - a turns by about pi over an arc that short,
 # some 14 bisections below the spacing of 512 nodes
 WINDING_CONTOUR_RTOL = 1e-6
-# samples per box edge, both corners included: the phase path bisects any
+# least nodes of argument_principle_count per zero or pole inside its circle:
+# at 8 a deep event turns the phase by pi/4 per step, below the pi/2 at which
+# the phase walk refines
+NODES_PER_EVENT = 8
+# samples per box edge, both corners included: the phase walk bisects any
 # step above pi/2, while a step that turns by a multiple of 2 pi goes unseen;
 # 24 makes that rare away from multiple a-points
 BOX_EDGE_SAMPLES = 24
+# bisection levels of the phase walk: a step 2^-28 of its sampling step that
+# still turns by more than pi/2 sits in the roundoff floor of f - a at a
+# point of the path, where no finer step would settle the phase
+PHASE_WALK_MAX_DEPTH = 28
 # edge below which a box with two or more a-points (a cluster or a multiple
 # point) stops splitting and reports its centre: on the edges of such a box
 # a double a-point still leaves |f - a| ~ 1e-14 |f''|, above roundoff
@@ -328,7 +337,11 @@ def aw_counting_at(f, a, r: float, policy=DEFAULT_POLICY) -> AWCountRecord:
         return aw_counting(f, r, "Pole", policy)
     if a == 0:
         return aw_counting(f, r, "Zero", policy)
-    pts = apoint_events(f, complex(a), r, policy)
+    return _reduced_apoints(f, apoint_events(f, complex(a), r, policy), r, policy)
+
+
+def _reduced_apoints(f: FunctionExpr, pts, r: float, policy) -> AWCountRecord:
+    """Reduced counts of the a-points pts, (location, multiplicity) in |x| < r."""
     q = f.q
     g = as_breve(f, policy)
     dg = dq_breve(g, q)
@@ -403,11 +416,9 @@ def deficiencies(f, r_grid, values, quad: int = 512, policy=DEFAULT_POLICY):
                 _, N = counting(f, r, "Zero")
                 rec = aw_counting(f, r, "Zero", policy)
             else:
-                rec = aw_counting_at(f, a, r, policy)
-                N = sum(
-                    h * math.log(r / max(abs(x0), 1e-12))
-                    for x0, h in apoint_events(f, complex(a), r, policy)
-                )
+                pts = apoint_events(f, complex(a), r, policy)
+                rec = _reduced_apoints(f, pts, r, policy)
+                N = sum(h * math.log(r / max(abs(x0), 1e-12)) for x0, h in pts)
             t = T[r]
             if t <= 0:
                 continue
@@ -434,71 +445,89 @@ def deficiencies(f, r_grid, values, quad: int = 512, policy=DEFAULT_POLICY):
 # --- argument principle ---------------------------------------------------------
 
 
-def _phase_path(f, a, pts, policy, depth=0):
-    """Total phase change of f - a along the polyline of sample points.
+def _phases(f, a, z, policy):
+    """arg(f - a) at the z-plane points z (an array), up to multiples of 2 pi.
 
-    Between consecutive samples the phase step must stay below pi/2;
-    otherwise the segment is bisected (up to a refinement cap).
+    Where |f| dwarfs |a| (log|f| > 40, and everywhere when a = 0) this is
+    Im log f, so no value of f that could overflow is ever formed.
     """
-    f = _as_expr(f)
-    z = lift_to_z_array(np.asarray(pts, dtype=complex))
-    lg = f.breve_log(z, policy)
-    phases = np.empty(len(pts))
-    for i, L in enumerate(np.atleast_1d(lg)):
-        if L.real > 40.0 and a != 0:
-            # |f| astronomically dominates |a|; arg(f - a) = arg f
-            phases[i] = L.imag
-        else:
-            w = cmath.exp(L) - a if L.real != -math.inf else -a
-            if w == 0:
-                raise ContourTooClose("contour passes through an a-point")
-            phases[i] = cmath.phase(w)
+    lg = np.asarray(f.breve_log(z, policy))
+    dominant = (lg.real > 40.0) | (a == 0)
+    w = np.exp(np.where(dominant, 0.0, lg)) - a
+    if np.any(np.where(dominant, lg.real == -math.inf, w == 0)):
+        raise ContourTooClose("contour passes through an a-point")
+    return np.where(dominant, lg.imag, np.angle(w))
+
+
+def _phase_walk(f, a, params, to_z, policy) -> float:
+    """Total change of arg(f - a) along the polyline through ``params``.
+
+    The points lie in a parameter plane that ``to_z`` maps (vectorised) to
+    the z-plane.  A step whose phase change, wrapped to (-pi, pi], exceeds
+    pi/2 is bisected at its midpoint in the parameter plane; the midpoints
+    of one refinement level are evaluated in one ``breve_log`` call, up to
+    PHASE_WALK_MAX_DEPTH levels.  A step that turns by a multiple of 2 pi
+    goes unseen, so the caller's sampling has to be fine enough.
+    """
+    p = np.asarray(params, dtype=complex)
+    ph = _phases(f, a, to_z(p), policy)
+    p0, p1, ph0, ph1 = p[:-1], p[1:], ph[:-1], ph[1:]
     total = 0.0
-    for i in range(len(pts) - 1):
-        d = phases[i + 1] - phases[i]
-        d = (d + math.pi) % (2.0 * math.pi) - math.pi
-        if abs(d) > 0.5 * math.pi:
-            if depth >= 24:
-                raise PhaseJumpTooLarge("phase refinement exhausted")
-            mid = 0.5 * (pts[i] + pts[i + 1])
-            d = _phase_path(f, a, [pts[i], mid], policy, depth + 1) + _phase_path(
-                f, a, [mid, pts[i + 1]], policy, depth + 1
-            )
-        total += d
-    return total
+    for depth in itertools.count():
+        d = np.mod(ph1 - ph0 + math.pi, 2.0 * math.pi) - math.pi
+        big = np.abs(d) > 0.5 * math.pi
+        total += float(np.sum(d[~big]))
+        if not big.any():
+            return total
+        if depth >= PHASE_WALK_MAX_DEPTH:
+            raise PhaseJumpTooLarge("phase refinement exhausted")
+        p0, p1, ph0, ph1 = p0[big], p1[big], ph0[big], ph1[big]
+        mid = 0.5 * (p0 + p1)
+        phm = _phases(f, a, to_z(mid), policy)
+        p0, p1 = np.concatenate([p0, mid]), np.concatenate([mid, p1])
+        ph0, ph1 = np.concatenate([ph0, phm]), np.concatenate([phm, ph1])
+
+
+def _integer_winding(total: float) -> int:
+    w = total / (2.0 * math.pi)
+    if abs(w - round(w)) > 0.25:
+        raise PhaseJumpTooLarge(f"winding {w} did not settle to an integer")
+    return int(round(w))
+
+
+def _rect_winding(f, a, p0, p1, per_edge, to_z, policy) -> int:
+    """Winding of f - a around the image under ``to_z`` of a rectangle.
+
+    The rectangle of the parameter plane has lower left corner p0 and upper
+    right corner p1; its perimeter is walked counterclockwise as one phase
+    walk on ``per_edge`` samples per edge (corners shared).
+    """
+    corners = np.array([p0, complex(p1.real, p0.imag), p1, complex(p0.real, p1.imag), p0])
+    t = np.linspace(0.0, 1.0, per_edge)[:-1]
+    edges = corners[:-1, None] + (corners[1:] - corners[:-1])[:, None] * t
+    return _integer_winding(_phase_walk(f, a, np.append(edges.ravel(), p0), to_z, policy))
 
 
 def argument_principle_count(
     f, a: complex, r: float, nodes: int = 512, policy=DEFAULT_POLICY
 ) -> int:
-    """Winding number of f - a along |x| = r: zeros minus poles inside."""
+    """Winding number of f - a along |x| = r: zeros minus poles inside.
+
+    The circle gets ``nodes`` samples, or NODES_PER_EVENT per zero and pole
+    of the ledger inside it when that is more.
+    """
     f = _as_expr(f)
-    for ev in _all_events(f, 4.0 * r):
+    events = _all_events(f, 4.0 * r)
+    for ev in events:
         if abs(ev.modulus - r) <= WINDING_CONTOUR_RTOL * r:
             raise ContourTooClose(f"event modulus {ev.modulus} too close to r = {r}")
-    thetas = np.linspace(0.0, 2.0 * math.pi, nodes + 1)
-    pts = r * np.exp(1j * thetas)
-    total = _phase_path(f, complex(a), list(pts), policy)
-    winding = total / (2.0 * math.pi)
-    if abs(winding - round(winding)) > 0.25:
-        raise PhaseJumpTooLarge(f"winding {winding} did not settle to an integer")
-    return int(round(winding))
-
-
-def _box_winding(f, a, x0, x1, policy):
-    """Winding of f - a around the closed rectangle with corners x0, x1.
-
-    The whole perimeter is one phase path: one ``breve_log`` call on
-    BOX_EDGE_SAMPLES per edge (corners shared), plus one per refined step.
-    """
-    corners = np.array([x0, complex(x1.real, x0.imag), x1, complex(x0.real, x1.imag), x0])
-    t = np.linspace(0.0, 1.0, BOX_EDGE_SAMPLES)[:-1]
-    edges = corners[:-1, None] + (corners[1:] - corners[:-1])[:, None] * t
-    total = _phase_path(f, a, np.append(edges.ravel(), x0), policy)
-    w = total / (2.0 * math.pi)
-    if abs(w - round(w)) > 0.25:
-        raise PhaseJumpTooLarge("box winding did not settle to an integer")
-    return int(round(w))
+    # each zero or pole inside turns the phase by 2 pi, spread over the
+    # circle when it lies deep inside; a step that turns by more than pi
+    # aliases, so take at least NODES_PER_EVENT nodes per known event
+    inside = sum(abs(ev.multiplicity) for ev in events if ev.modulus < r)
+    nodes = max(nodes, NODES_PER_EVENT * inside)
+    pts = r * np.exp(1j * np.linspace(0.0, 2.0 * math.pi, nodes + 1))
+    return _integer_winding(_phase_walk(f, complex(a), pts, lift_to_z_array, policy))
 
 
 def _newton_polish(val, z: complex, mult: int, floor: float = 0.0):
@@ -587,7 +616,7 @@ def apoint_events(f, a: complex, r: float, policy=DEFAULT_POLICY, min_size=APOIN
             for e in poles
             if x0.real < e.x.real <= x1.real and x0.imag < e.x.imag <= x1.imag
         )
-        return _box_winding(f, a, x0, x1, policy) + poles_in
+        return _rect_winding(f, a, x0, x1, BOX_EDGE_SAMPLES, lift_to_z_array, policy) + poles_in
 
     # slightly irrational offset so lattice points never sit on box edges
     eps = r * 1e-4 * (1.0 + math.pi / 1e3)

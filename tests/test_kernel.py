@@ -7,7 +7,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from awnev.errors import DegenerateGenerator, VerificationFailed
+from awnev.errors import DegenerateGenerator, RootNotFound, VerificationFailed
 from awnev.funcrep import evaluate
 from awnev.kernel import (
     KernelTermSpec,
@@ -52,6 +52,14 @@ def test_kernel_solve_single_term_identity():
     sol = kernel_solve([KernelTermSpec(2.5, (0.4,))], q)
     assert sol.c_generators == (0.4 + 0j,)
     assert sol.C == 2.5 + 0j
+
+
+def test_kernel_solve_vanishing_sum_raises():
+    # the terms cancel: f-breve is exactly 0 on every cell edge, so each
+    # boundary offset fails and the search reports that no root was found
+    q = QParam(0.3)
+    with pytest.raises(RootNotFound):
+        kernel_solve([KernelTermSpec(1.0, (0.5,)), KernelTermSpec(-1.0, (0.5,))], q)
 
 
 def test_kernel_solve_two_terms_round_trip():

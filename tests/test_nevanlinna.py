@@ -154,6 +154,36 @@ def test_argument_principle_matches_ledger():
             assert signed == ledger_zero - ledger_pole
 
 
+@pytest.mark.parametrize("a", [0, 1.0])
+@pytest.mark.parametrize("r", [1e6, 1e8, 1e20])
+def test_argument_principle_count_large_radius(a, r):
+    # |f| overflows a float on the circle, where the phase is Im log f; at
+    # 1e20 the 441 zeros inside would turn it by more than pi per step of
+    # the default 512 nodes
+    q = QParam(0.9)
+    f = FunctionExpr(((1.0, single(0.7, base=q.q, q=q)),))
+    assert argument_principle_count(f, a, r) == counting(f, r, "Zero")[0]
+
+
+def test_phase_walk_evaluates_each_level_in_one_call(monkeypatch):
+    # zeros 1e-3 inside the circle on two of the 16 sample rays: each of the
+    # four steps next to them is bisected over several levels, and every
+    # level's four new midpoints go to breve_log together
+    f = FunctionExpr(
+        ((1.0, ProductForm(1.0, tuple(np.polynomial.polynomial.polyfromroots([0.999, -0.999j])), (), Q5)),)
+    )
+    calls = []
+    breve_log = FunctionExpr.breve_log
+
+    def spy(self, z, policy):
+        calls.append(len(z))
+        return breve_log(self, z, policy)
+
+    monkeypatch.setattr(FunctionExpr, "breve_log", spy)
+    assert argument_principle_count(f, 0.0, 1.0, nodes=16) == 2
+    assert calls[0] == 17 and len(calls) > 2 and set(calls[1:]) == {4}
+
+
 # phi(x; c) at generic values a, from the benchmark's aw_counting_at slots:
 # (q, c, a, r, a-points located by bisecting every box down to 1e-7)
 APOINT_CASES = [
@@ -255,6 +285,30 @@ def test_deficiencies_one_over_three():
     rs = radius_grid(f, 10.0, 1e8, 14)
     reports, total = deficiencies(f, rs, [0.0])
     assert reports[0].theta_aw == pytest.approx(1.0 / 3.0, abs=0.07)
+
+
+def test_deficiencies_generic_value_one_search_per_radius(monkeypatch):
+    # one a-point search per radius gives both N and the reduced N; the
+    # report is the one computed with a second search for N
+    q = QParam(0.2)
+    f = FunctionExpr(((1.0, single(0.3 + 0.4j, base=q.q, q=q)),))
+    rs = [0.4, 2.0, 10.0, 50.0, 200.0, 500.0]
+    calls = []
+    search = nevanlinna.apoint_events
+
+    def spy(*args):
+        calls.append(args[2])
+        return search(*args)
+
+    monkeypatch.setattr(nevanlinna, "apoint_events", spy)
+    reports, total = deficiencies(f, rs, [1.5 - 0.5j], quad=128)
+    assert calls == rs
+    (rep,) = reports
+    assert rep.r_used == tuple(rs)
+    assert rep.delta == pytest.approx(0.0003924311270094849, rel=1e-9)
+    assert rep.theta_aw == pytest.approx(0.0003924311270094849, rel=1e-9)
+    assert rep.vartheta_aw == 0.0
+    assert total == rep.theta_aw
 
 
 def test_second_main_check_guards():
