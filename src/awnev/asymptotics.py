@@ -9,7 +9,6 @@ the shifted to the unshifted orthogonality weight.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 

@@ -14,8 +14,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
 from .errors import BranchDegenerate, DegenerateGenerator, InvalidParams, SelfCheckFailed
 from .funcrep import FunctionExpr, ProductForm, evaluate
 from .qcore import DEFAULT_POLICY, QParam, lift_to_z, qpoch_finite

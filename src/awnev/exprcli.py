@@ -26,12 +26,11 @@ import argparse
 import cmath
 import csv
 import functools
-import io
 import json
 import math
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -52,10 +51,9 @@ from .errors import (
     PreconditionError,
     SemanticError,
     UnsupportedShape,
-    VerificationFailed,
 )
 from .funcrep import FunctionExpr, ProductFactor, ProductForm, build_named, evaluate
-from .kernel import KernelTermSpec, kernel_residual, kernel_solve, theta, verify_identity
+from .kernel import KernelTermSpec, kernel_residual, kernel_solve, verify_identity
 from .nevanlinna import (
     aw_counting,
     characteristic,
@@ -418,29 +416,16 @@ def _wrap_mul(node) -> str:
 # --- lowering ---------------------------------------------------------------------
 
 
-def _pf_mul(a: ProductForm, b: ProductForm, q: QParam) -> ProductForm:
-    poly = tuple(np.polynomial.polynomial.polymul(a.poly or (1.0,), b.poly or (1.0,)))
-    acc = {}
-    for f in a.factors + b.factors:
-        key = (f.a, f.base)
-        acc[key] = acc.get(key, 0) + f.m
-    factors = tuple(ProductFactor(aa, base, m) for (aa, base), m in acc.items() if m != 0)
-    if poly == (1.0,):
-        poly = ()
-    return ProductForm(a.constant * b.constant, poly, factors, q)
-
-
-def _pf_inverse(p: ProductForm, q: QParam) -> ProductForm:
-    if p.constant == 0:
-        raise UnsupportedShape("division by the zero expression")
-    if p.poly and tuple(p.poly) != (1.0,):
-        raise UnsupportedShape("cannot divide by a polynomial part")
-    factors = tuple(ProductFactor(f.a, f.base, -f.m) for f in p.factors)
-    return ProductForm(1.0 / p.constant, (), factors, q)
-
-
 def _lower_terms(node, q: QParam):
-    """Lower to a list of ProductForm terms (an implicit sum)."""
+    """Lower to a list of ProductForm terms (an implicit sum).
+
+    Products and reciprocals are studied under the lowering q, also where a
+    factor (a theta function) carries its own.
+    """
+
+    def mul(a, b):
+        return replace(a * b, q=q)
+
     if isinstance(node, Const):
         return [ProductForm(node.value, (), (), q)]
     if isinstance(node, Var):
@@ -460,9 +445,7 @@ def _lower_terms(node, q: QParam):
         return [ProductForm(1.0, coeffs, (), q)]
     if isinstance(node, Theta):
         built = build_named(f"theta{node.j}", q)
-        if isinstance(built, ProductForm):
-            return [built]
-        return [_pf_mul(ProductForm(c, (), (), built.q), pf, built.q) for c, pf in built.terms]
+        return [ProductForm(c, (), (), built.q) * pf for c, pf in built.terms]
     if isinstance(node, Poly):
         return [ProductForm(1.0, node.coeffs, (), q)]
     if isinstance(node, Add):
@@ -474,13 +457,13 @@ def _lower_terms(node, q: QParam):
     if isinstance(node, Mul):
         left = _lower_terms(node.left, q)
         right = _lower_terms(node.right, q)
-        return [_pf_mul(a, b, q) for a in left for b in right]
+        return [mul(a, b) for a in left for b in right]
     if isinstance(node, Div):
         denom = _lower_terms(node.right, q)
         if len(denom) != 1:
             raise UnsupportedShape("cannot divide by a sum; no common-form normalization")
-        inv = _pf_inverse(denom[0], q)
-        return [_pf_mul(a, inv, q) for a in _lower_terms(node.left, q)]
+        inv = denom[0].inverse()
+        return [mul(a, inv) for a in _lower_terms(node.left, q)]
     if isinstance(node, Pow):
         k = node.exponent
         base = _lower_terms(node.base, q)
@@ -489,11 +472,11 @@ def _lower_terms(node, q: QParam):
         if k < 0:
             if len(base) != 1:
                 raise UnsupportedShape("cannot invert a sum")
-            base = [_pf_inverse(base[0], q)]
+            base = [replace(base[0].inverse(), q=q)]
             k = -k
         out = base
         for _ in range(k - 1):
-            out = [_pf_mul(a, b, q) for a in out for b in base]
+            out = [mul(a, b) for a in out for b in base]
         return out
     raise SemanticError(f"unknown AST node {type(node).__name__}")
 
@@ -507,6 +490,10 @@ def lower(node, q: QParam) -> FunctionExpr:
 # --- CLI --------------------------------------------------------------------------
 
 _CHAR_COLUMNS = ["r", "m", "n", "N", "T", "n_aw", "N_aw"]
+_RMIN_HELP = (
+    "smallest grid radius; a radius nudged off an event modulus can fall below it, "
+    "down to 0.3*rmin"
+)
 
 
 def parse_complex(text: str) -> complex:
@@ -591,13 +578,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", type=int, default=1)
 
     p = common(subs.add_parser("char", help="characteristic table over a radius grid"))
-    p.add_argument("--rmin", type=float, required=True)
+    p.add_argument("--rmin", type=float, required=True, help=_RMIN_HELP)
     p.add_argument("--rmax", type=float, required=True)
     p.add_argument("--points", type=int, default=12)
 
     p = common(subs.add_parser("deficiency", help="deficiency report per value"))
     p.add_argument("--value", action="append", required=True, help="target (repeatable)")
-    p.add_argument("--rmin", type=float, required=True)
+    p.add_argument("--rmin", type=float, required=True, help=_RMIN_HELP)
     p.add_argument("--rmax", type=float, required=True)
     p.add_argument("--points", type=int, default=12)
 
@@ -628,7 +615,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = common(subs.add_parser("share", help="compare reduced counts of two expressions"))
     p.add_argument("--expr2", required=True)
     p.add_argument("--value", required=True)
-    p.add_argument("--rmin", type=float, default=10.0)
+    p.add_argument("--rmin", type=float, default=10.0, help=_RMIN_HELP)
     p.add_argument("--rmax", type=float, default=1e5)
     p.add_argument("--points", type=int, default=10)
     return ap

@@ -16,12 +16,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidParams, NumericFailure, PoleHit, SemanticError
+from .errors import InvalidParams, NumericFailure, PoleHit, SemanticError, UnsupportedShape
 from .qcore import (
     DEFAULT_POLICY,
     QParam,
     TruncationPolicy,
-    lattice_point,
     lift_to_z,
     log_qpoch_infinite,
     qpoch_infinite,
@@ -110,10 +109,27 @@ class ProductForm:
             return complex(out)
         return out
 
+    def __mul__(self, other: "ProductForm") -> "ProductForm":
+        """Product under this form's q: factors with equal (a, base) add exponents.
+
+        A factor whose exponent sums to 0 is dropped, and a polynomial part
+        that multiplies out to 1 is stored as ().
+        """
+        poly = tuple(np.polynomial.polynomial.polymul(self.poly or (1.0,), other.poly or (1.0,)))
+        acc = {}
+        for f in self.factors + other.factors:
+            acc[f.a, f.base] = acc.get((f.a, f.base), 0) + f.m
+        factors = tuple(ProductFactor(a, base, m) for (a, base), m in acc.items() if m != 0)
+        return ProductForm(
+            self.constant * other.constant, () if poly == (1.0,) else poly, factors, self.q
+        )
+
     def inverse(self) -> "ProductForm":
-        """Reciprocal form; requires no polynomial part (poles stay lattice-like)."""
-        if self.poly:
-            raise InvalidParams("cannot invert a form with a polynomial part")
+        """Reciprocal form; refuses a zero constant or a polynomial part other than 1."""
+        if self.constant == 0:
+            raise UnsupportedShape("division by the zero expression")
+        if self.poly not in ((), (1.0,)):
+            raise UnsupportedShape("cannot divide by a polynomial part")
         inv = tuple(ProductFactor(f.a, f.base, -f.m) for f in self.factors)
         return ProductForm(1.0 / self.constant, (), inv, self.q)
 
@@ -244,8 +260,9 @@ def _factor_events(fac: ProductFactor, gen_index: int, r: float):
                     base=fac.base,
                 )
             )
-        elif abs(w) < 1.0:
-            # |x| ~ 1/(2|w|) is now increasing in n; nothing more below r
+        elif abs(w) < 1.0 and (1.0 / abs(w) - abs(w)) / 2.0 >= r:
+            # |x| >= (1/|w| - |w|) / 2, which grows as |w| shrinks with n:
+            # nothing more below r (|x| itself need not grow for a complex base)
             break
         n += 1
         if n > 10**6:

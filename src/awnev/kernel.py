@@ -65,15 +65,6 @@ class KernelSolution:
     residual: float
 
 
-def _cancel(factors):
-    """Cancel repeated (a, base) factors with opposite exponents."""
-    acc = {}
-    for f in factors:
-        key = (f.a, f.base)
-        acc[key] = acc.get(key, 0) + f.m
-    return tuple(ProductFactor(a, base, m) for (a, base), m in acc.items() if m != 0)
-
-
 def kernel_pair_form(generators, q: QParam, constant=1.0, m_sign=1) -> ProductForm:
     """Product over generators of [phi(x; a) phi(x; q/a)]^(m_sign)."""
     factors = []
@@ -83,23 +74,13 @@ def kernel_pair_form(generators, q: QParam, constant=1.0, m_sign=1) -> ProductFo
             raise DegenerateGenerator("generator a = 0")
         factors.append(ProductFactor(a, q.q, m_sign))
         factors.append(ProductFactor(q.q / a, q.q, m_sign))
-    return ProductForm(constant, (), _cancel(factors), q)
+    # the product merges repeated generators into one factor each
+    return ProductForm(constant, (), (), q) * ProductForm(1.0, (), tuple(factors), q)
 
 
 def make_fab(a: complex, b: complex, q: QParam) -> ProductForm:
     """phi(x; a) phi(x; q/a) / (phi(x; b) phi(x; q/b)) as one ProductForm."""
-    a, b = complex(a), complex(b)
-    if a == 0 or b == 0:
-        raise DegenerateGenerator("a and b must be nonzero")
-    factors = _cancel(
-        [
-            ProductFactor(a, q.q, 1),
-            ProductFactor(q.q / a, q.q, 1),
-            ProductFactor(b, q.q, -1),
-            ProductFactor(q.q / b, q.q, -1),
-        ]
-    )
-    return ProductForm(1.0, (), factors, q)
+    return kernel_pair_form((a,), q) * kernel_pair_form((b,), q).inverse()
 
 
 def kernel_sum_expr(terms, q: QParam) -> FunctionExpr:

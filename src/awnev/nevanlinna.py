@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .awops import as_breve, dq_breve
+from .awops import as_breve, aw_diff, dq_breve
 from .errors import (
     AmbiguousOrder,
     ContourTooClose,
@@ -26,6 +26,7 @@ from .errors import (
     PhaseJumpTooLarge,
 )
 from .funcrep import (
+    MERGE_RTOL,
     FunctionExpr,
     ProductForm,
     log_abs_many,
@@ -53,6 +54,14 @@ __all__ = [
 ]
 
 CONTOUR_RTOL = 1e-8
+# an event of modulus below this sits at the origin, where log(r / |x|) is
+# undefined: it adds n(0) log r to N(r), as in Nevanlinna's counting function
+# (Hayman, Meromorphic Functions, 1964, ch. 1)
+ORIGIN_MODULUS = 1e-12
+# the q-shifted neighbour q z of an event's representative is looked up on
+# the enumerated |z| >= 1 branch only; one inside the unit z-disk by more than
+# this roundoff margin is off that branch and is not an event
+UNIT_DISK_MARGIN = 1e-12
 ORDER_RADIUS = 1e-5
 ORDER_RESIDUE_TOL = 0.2
 # argument_principle_count refuses a circle with an event modulus within this
@@ -125,12 +134,23 @@ def _as_expr(f) -> FunctionExpr:
 
 def _all_events(f: FunctionExpr, r: float):
     """Zero and pole events when enumerable (zeros need a single term)."""
-    events = list(merged_ledger(f, r, "Pole"))
-    try:
-        events += list(merged_ledger(f, r, "Zero"))
-    except InvalidParams:
-        pass
-    return events
+    if len(f.terms) == 1:
+        return zero_pole_ledger(f.terms[0][1], r)
+    return merged_ledger(f, r, "Pole")
+
+
+def _accumulate(r: float, pairs):
+    """(n(r), N(r)) over (modulus, multiplicity) pairs of events in |x| < r.
+
+    N(r) is the sum of h log(r / |x|); an event within ORIGIN_MODULUS of the
+    origin adds h log r instead.
+    """
+    n = 0
+    N = 0.0
+    for modulus, h in pairs:
+        n += h
+        N += h * math.log(r / (modulus if modulus >= ORIGIN_MODULUS else 1.0))
+    return n, N
 
 
 # --- proximity / characteristic ------------------------------------------------
@@ -184,18 +204,8 @@ def counting(f, r: float, target: str = "Pole"):
     """
     if r <= 0:
         raise InvalidParams("r must be positive")
-    f = _as_expr(f)
-    events = merged_ledger(f, r, target)
-    n = 0
-    N = 0.0
-    for ev in events:
-        h = abs(ev.multiplicity)
-        n += h
-        if ev.modulus < 1e-12:
-            N += h * math.log(r)
-        else:
-            N += h * math.log(r / ev.modulus)
-    return n, N
+    events = merged_ledger(_as_expr(f), r, target)
+    return _accumulate(r, ((ev.modulus, abs(ev.multiplicity)) for ev in events))
 
 
 def characteristic(f, r: float, quad: int = 512, policy=DEFAULT_POLICY) -> CharRecord:
@@ -262,67 +272,65 @@ def _vanishing_order(G, x0: complex, max_order: int = 64) -> int:
     return max(int(kr), 0)
 
 
-def _reduced_contribution(ev, events_by_kind, q, G_slow=None) -> int:
-    """h - min(h, k') for one event.
+def _reduced_counts(f: FunctionExpr, a, r: float, policy):
+    """((n, N), (n_aw, N_aw)) of the a-points of f in |x| < r, from one walk.
 
-    Fast path (lattice events): the divided difference of g at the hatted
-    point compares g at the event with g at the point whose z-coordinate is
-    q * z_event; k' is the matching multiplicity of g there (0 when that
-    point is not an event of the same kind, including when it falls inside
-    the unit z-disk, i.e. off the enumerated branch).
+    a = 0 and a = math.inf walk the exact ledger of zeros or poles; any
+    other a is located by apoint_events.  A point of multiplicity h counts
+    h - min(h, k') in the reduced count.  For a lattice event k' is the
+    multiplicity of the same-kind event at the q-shifted neighbour q z of its
+    representative (0 when there is none, including when q z falls inside
+    the unit z-disk, off the enumerated branch).  For a polynomial root or
+    an a-point it is the numeric vanishing order of D_q f at the hatted
+    point (of D_q (1/f) for a pole).
     """
-    h = abs(ev.multiplicity)
-    if ev.generator_index < 0 and G_slow is not None:
-        kprime = _vanishing_order(G_slow, ev.x)
-        return h - min(h, kprime)
-    zm = q.q * ev.z
-    if abs(zm) < 1.0 - 1e-12:
-        return h
-    hprime = 0
-    for other in events_by_kind:
-        if abs(other.z - zm) <= 1e-10 * max(1.0, abs(zm)):
-            hprime = abs(other.multiplicity)
-            break
-    return max(h - min(h, hprime), 0)
+    q = f.q
+    g0 = as_breve(f, policy)
+    g = g0 if a != math.inf else (lambda z: 1.0 / g0(z))
+    dg = dq_breve(g, q)
+
+    def kprime_at(x0):
+        return _vanishing_order(lambda x: dg(q.sqrt_q * lift_to_z(x)), x0)
+
+    if a != 0 and a != math.inf:
+        pts = [
+            (abs(x0), h, h - min(h, kprime_at(x0)))
+            for x0, h in apoint_events(f, complex(a), r, policy)
+        ]
+    else:
+        # the neighbour may sit just outside |x| = r; enumerate a wider window
+        ledger = merged_ledger(f, 2.0 * r / q.abs_q + 2.0, "Zero" if a == 0 else "Pole")
+        pts = []
+        for ev in ledger:
+            if ev.modulus >= r:
+                continue
+            h = abs(ev.multiplicity)
+            zm = q.q * ev.z
+            if ev.generator_index < 0:
+                kprime = kprime_at(ev.x)
+            elif abs(zm) < 1.0 - UNIT_DISK_MARGIN:
+                kprime = 0
+            else:
+                # whether q z is a ledger point is the ledger's own coincidence test
+                tol = MERGE_RTOL * max(1.0, abs(zm))
+                kprime = next((abs(e.multiplicity) for e in ledger if abs(e.z - zm) <= tol), 0)
+            pts.append((ev.modulus, h, h - min(h, kprime)))
+    return (
+        _accumulate(r, ((m, h) for m, h, _ in pts)),
+        _accumulate(r, ((m, c) for m, _, c in pts)),
+    )
 
 
 def aw_counting(f, r: float, target: str = "Zero", policy=DEFAULT_POLICY) -> AWCountRecord:
     """Reduced counting of zeros or poles with the q-shifted-neighbour discount."""
     if r <= 0:
         raise InvalidParams("r must be positive")
-    f = _as_expr(f)
-    q = f.q
-    # the neighbour may sit just outside |x| = r; enumerate a wider window
-    window = 2.0 * r / q.abs_q + 2.0
-    events_all = merged_ledger(f, window, target)
-    events_in = [e for e in events_all if e.modulus < r]
-    G_slow = None
-    if any(e.generator_index < 0 for e in events_in):
-        if target == "Zero":
-            g = as_breve(f, policy)
-        else:
-            g = as_breve(f.terms[0][1].inverse(), policy)
-        dg = dq_breve(g, q)
-        s = q.sqrt_q
-
-        def G_slow(x):
-            z = lift_to_z(x)
-            return dg(s * z)
-
-    n_aw = 0
-    N_aw = 0.0
-    classical = 0
-    for ev in events_in:
-        h = abs(ev.multiplicity)
-        classical += h
-        contrib = _reduced_contribution(ev, events_all, q, G_slow)
-        n_aw += contrib
-        if contrib:
-            if ev.modulus < 1e-12:
-                N_aw += contrib * math.log(r)
-            else:
-                N_aw += contrib * math.log(r / ev.modulus)
-    return AWCountRecord(r=float(r), n_aw=n_aw, N_aw=N_aw, classical_n=classical)
+    if target not in ("Zero", "Pole"):
+        raise InvalidParams("target must be 'Zero' or 'Pole'")
+    (n, _), (n_aw, N_aw) = _reduced_counts(
+        _as_expr(f), 0 if target == "Zero" else math.inf, r, policy
+    )
+    return AWCountRecord(r=float(r), n_aw=n_aw, N_aw=N_aw, classical_n=n)
 
 
 def aw_counting_at(f, a, r: float, policy=DEFAULT_POLICY) -> AWCountRecord:
@@ -332,36 +340,10 @@ def aw_counting_at(f, a, r: float, policy=DEFAULT_POLICY) -> AWCountRecord:
     by argument-principle subdivision and discounted by numeric
     vanishing-order detection of the divided difference at the hatted point.
     """
-    f = _as_expr(f)
-    if a == math.inf:
-        return aw_counting(f, r, "Pole", policy)
-    if a == 0:
-        return aw_counting(f, r, "Zero", policy)
-    return _reduced_apoints(f, apoint_events(f, complex(a), r, policy), r, policy)
-
-
-def _reduced_apoints(f: FunctionExpr, pts, r: float, policy) -> AWCountRecord:
-    """Reduced counts of the a-points pts, (location, multiplicity) in |x| < r."""
-    q = f.q
-    g = as_breve(f, policy)
-    dg = dq_breve(g, q)
-    s = q.sqrt_q
-
-    def G(x):
-        z = lift_to_z(x)
-        return dg(s * z)
-
-    n_aw = 0
-    N_aw = 0.0
-    classical = 0
-    for x0, h in pts:
-        classical += h
-        kprime = _vanishing_order(G, x0)
-        contrib = h - min(h, kprime)
-        n_aw += contrib
-        if contrib:
-            N_aw += contrib * math.log(r / max(abs(x0), 1e-12))
-    return AWCountRecord(r=float(r), n_aw=n_aw, N_aw=N_aw, classical_n=classical)
+    if a == 0 or a == math.inf:
+        return aw_counting(f, r, "Zero" if a == 0 else "Pole", policy)
+    (n, _), (n_aw, N_aw) = _reduced_counts(_as_expr(f), a, r, policy)
+    return AWCountRecord(r=float(r), n_aw=n_aw, N_aw=N_aw, classical_n=n)
 
 
 # --- deficiencies ---------------------------------------------------------------
@@ -409,23 +391,14 @@ def deficiencies(f, r_grid, values, quad: int = 512, policy=DEFAULT_POLICY):
     for a in values:
         rs, ratios_N, ratios_red, ratios_diff = [], [], [], []
         for r in r_grid:
-            if a == math.inf:
-                _, N = counting(f, r, "Pole")
-                rec = aw_counting(f, r, "Pole", policy)
-            elif a == 0:
-                _, N = counting(f, r, "Zero")
-                rec = aw_counting(f, r, "Zero", policy)
-            else:
-                pts = apoint_events(f, complex(a), r, policy)
-                rec = _reduced_apoints(f, pts, r, policy)
-                N = sum(h * math.log(r / max(abs(x0), 1e-12)) for x0, h in pts)
+            (_, N), (_, N_aw) = _reduced_counts(f, a, r, policy)
             t = T[r]
             if t <= 0:
                 continue
             rs.append(r)
             ratios_N.append(N / t)
-            ratios_red.append(rec.N_aw / t)
-            ratios_diff.append((N - rec.N_aw) / t)
+            ratios_red.append(N_aw / t)
+            ratios_diff.append((N - N_aw) / t)
         if not ratios_N:
             raise GridTooSmall("characteristic vanished on the whole grid")
         theta = _clip01(1.0 - _limit_estimate(rs, ratios_red))
@@ -682,8 +655,6 @@ def second_main_check(f, values, r_grid, quad: int = 512, policy=DEFAULT_POLICY)
     if len(values) < 2:
         raise InvalidParams("need at least two distinct target values")
     # refuse functions annihilated by the divided difference
-    from .awops import aw_diff
-
     probe = [2.7, 3.9 + 1.1j, -4.3 + 0.6j, 6.1]
     if all(abs(aw_diff(f, x, policy=policy)) < 1e-12 for x in probe):
         raise InvalidParams("divided difference of f vanishes identically")
@@ -725,6 +696,9 @@ def radius_grid(f, rmin: float, rmax: float, points: int, sigma: float = 2.0):
     Mirrors the construction of exceptional-set avoidance: estimates in the
     slow-growth theory hold outside shrinking neighbourhoods of the lattice
     moduli, so sample radii are pushed to the edge of those neighbourhoods.
+    A push can take a radius below rmin; radii down to 0.3 * rmin are kept
+    (1/pinf(0.4) at q = 0.5 with rmin = 10 starts at 8.50).  They are not
+    clamped to rmin, which would move the radii the CLI tables report.
     """
     if not 0 < rmin < rmax:
         raise InvalidParams("need 0 < rmin < rmax")

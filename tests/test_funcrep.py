@@ -67,21 +67,19 @@ def test_large_radius_no_overflow():
 
 
 def test_zero_ledger_brute_force():
-    a, base = 0.4, 0.5
-    f = form(factors=(ProductFactor(a, base, 1),), q=Q5)
-    r = 300.0
-    events = zero_pole_ledger(f, r)
-    zeros = sorted(ev.x.real for ev in events if ev.multiplicity > 0)
-    brute = []
-    n = 0
-    while True:
-        xn = lattice_point(a, base, n)
-        if abs(xn) >= r:
-            break
-        brute.append(xn.real)
-        n += 1
-    assert len(zeros) == len(brute)
-    assert np.allclose(zeros, sorted(brute), rtol=1e-12)
+    cases = [
+        (0.4, 0.5, 300.0),
+        # |x_n| is not monotone in n for a complex base: x_1 lies inside
+        # |x| = 1 although x_0 lies outside
+        (0.9375, cmath.rect(0.5, 1.0), 1.0),
+    ]
+    for a, base, r in cases:
+        f = form(factors=(ProductFactor(a, base, 1),), q=Q5)
+        zeros = [ev.x for ev in zero_pole_ledger(f, r) if ev.multiplicity > 0]
+        brute = [lattice_point(a, base, n) for n in range(60)]
+        brute = [x for x in brute if abs(x) < r]
+        assert len(zeros) == len(brute)
+        assert np.allclose(sorted(zeros, key=abs), sorted(brute, key=abs), rtol=1e-12)
 
 
 def test_ledger_poly_roots_and_poles():

@@ -123,6 +123,14 @@ def test_reduced_counting_theta4_log_growth():
         assert abs(rec.N_aw - math.log(r)) < 2.0
 
 
+def test_origin_apoint_counts_log_r():
+    # a = f(0): the a-point at the origin adds n(0) log r to the reduced count
+    f = ProductForm(1, (), (ProductFactor(0.6, 0.3, 1),), QParam(0.3))
+    a = evaluate(f, 0)
+    for r in (2.0, 5.0):
+        assert aw_counting_at(f, a, r).N_aw == math.log(r)
+
+
 def test_fraction_families_reduced_ratios():
     q = Q5
     # f_fraction(3): reduced/classical integrated ratio tends to 1/3
