@@ -35,6 +35,9 @@ __all__ = [
 
 CENTRAL_DIFF_STEP = 1e-6
 BRANCH_POINT_TOL = 1e-9
+# relative nudge d of z off a branch point z = +-1, where aw_diff_iterate's D_q is
+# 0/0: x moves by only d^2/2 (5e-13), while cancellation costs 1e-16 / d (1e-10)
+BRANCH_POINT_NUDGE = 1e-6
 
 
 def as_breve(f, policy=DEFAULT_POLICY):
@@ -154,7 +157,7 @@ def aw_diff_iterate(f, k: int, x: complex, q: QParam = None, policy=DEFAULT_POLI
     z = lift_to_z(x)
     if min(abs(z - 1.0), abs(z + 1.0)) <= BRANCH_POINT_TOL:
         # degenerate denominator; evaluate the symmetric limit a hair off
-        z = z * (1.0 + 1e-6)
+        z = z * (1.0 + BRANCH_POINT_NUDGE)
     return g(z)
 
 

@@ -15,19 +15,21 @@ flag rather than part of the grammar so one expression file works across
 q sweeps.
 
 The CLI emits CSV (fixed columns, documented per command) or JSON (the
-same rows plus a metadata header).  Exit codes: 0 success, 2 parse or
-semantic error, 3 numeric failure / residual above tolerance,
-4 precondition violation.
+same rows plus a metadata header).  Exit codes: 0 success, 1 output pipe
+closed by its reader, 2 parse or semantic error, 3 numeric failure /
+residual above tolerance, 4 precondition violation.
 """
 
 from __future__ import annotations
 
 import argparse
 import cmath
+import contextlib
 import csv
 import functools
 import json
 import math
+import os
 import re
 import sys
 from dataclasses import dataclass, replace
@@ -526,8 +528,8 @@ def _load_expr(text: str) -> str:
     return text
 
 
-def _emit(rows, columns, fmt, meta, out=None):
-    out = out or sys.stdout
+def _emit(rows, columns, fmt, meta):
+    out = sys.stdout
     if fmt == "json":
         json.dump(
             {"metadata": meta, "columns": columns, "rows": rows},
@@ -543,6 +545,7 @@ def _emit(rows, columns, fmt, meta, out=None):
             writer.writerow(
                 [format_complex(v) if isinstance(v, complex) else v for v in row]
             )
+    out.flush()  # a reader that closed the pipe early shows here, not at exit
 
 
 def _fmt_value(v) -> str:
@@ -802,8 +805,12 @@ def _asym_battery(a: complex, q: QParam, samples: int, policy):
 def main(argv=None) -> int:
     ap = _build_parser()
     try:
-        args = ap.parse_args(argv)
-        return _run(args)
+        return _run(ap.parse_args(argv))
+    except BrokenPipeError:
+        # SIGPIPE note of the Python signal docs: no flush at exit may raise again
+        with contextlib.suppress(AttributeError, OSError, ValueError):  # not a file
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except ExpressionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -26,7 +26,15 @@ from .errors import (
     VerificationFailed,
 )
 from .funcrep import FunctionExpr, ProductFactor, ProductForm, evaluate, zero_pole_ledger
-from .nevanlinna import _newton_polish, _rect_winding
+from .nevanlinna import (
+    KERNEL_EDGE_SAMPLES,
+    KERNEL_MIN_SIZE,
+    SMALL_BOX_RTOL,
+    _newton_polish,
+    _rect_winding,
+    _root_quadtree,
+    _value,
+)
 from .qcore import DEFAULT_POLICY, QParam, qpoch_infinite
 
 __all__ = [
@@ -133,86 +141,30 @@ def kernel_member(f: FunctionExpr, grid=None, tol: float = 1e-8, policy=DEFAULT_
 # --- solver ---------------------------------------------------------------------
 
 
-def _cell_count(f, u0, u1, t0, t1, policy, per_edge=12):
-    """Zero count of f-breve inside the log-annulus cell exp([u0,u1] x i[t0,t1])."""
-    return _rect_winding(f, 0, complex(u0, t0), complex(u1, t1), per_edge, np.exp, policy)
-
-
-def _annulus_roots(f: FunctionExpr, q: QParam, policy, sectors=64):
+def _annulus_roots(f: FunctionExpr, q: QParam, policy):
     """Zeros of f-breve in the annulus rho <= |z| < rho/|q|, with multiplicity.
 
-    Works on the logarithmic rectangle and subdivides winding-positive cells
-    until they isolate a point; the annulus inner radius rho is chosen
-    irrationally so lattice zeros never sit on cell boundaries (with a few
-    retries if they do anyway).
+    Searches the logarithmic rectangle in 64 sectors by nevanlinna._root_quadtree
+    and checks the total against a fine winding of the whole rectangle; rho is
+    irrational so lattice zeros miss the cell edges (with retries if they do not).
     """
     L = -math.log(q.abs_q)
+    sectors = 64
     for attempt in range(6):
         # irrational offsets keep lattice zeros off the window seams
-        rho = q.abs_q ** (0.137 + 0.1 * attempt)
+        u0 = math.log(q.abs_q ** (0.137 + 0.1 * attempt))  # log rho
         t0 = 0.2377 + 0.41 * attempt
-        u0 = math.log(rho)
+        ts = [t0 + 2.0 * math.pi * k / sectors for k in range(sectors + 1)]
+        cells = [(complex(u0, lo), complex(u0 + L, hi)) for lo, hi in zip(ts, ts[1:])]
         try:
-            total = _cell_count(f, u0, u0 + L, t0, t0 + 2.0 * math.pi, policy, per_edge=16 * sectors)
-            roots = []
-            stack = []
-            for k in range(sectors):
-                stack.append(
-                    (
-                        u0,
-                        u0 + L,
-                        t0 + 2.0 * math.pi * k / sectors,
-                        t0 + 2.0 * math.pi * (k + 1) / sectors,
-                    )
-                )
-            while stack:
-                a0, a1, b0, b1 = stack.pop()
-                # stop well above the noise floor of a multiple zero: near a
-                # double zero at distance d the function is ~d^2, so cells much
-                # below ~3e-7 probe values at roundoff level; class matching
-                # only needs the root to ~1e-6 anyway
-                small = max(a1 - a0, b1 - b0) < 3e-7
-                try:
-                    cnt = _cell_count(f, a0, a1, b0, b1, policy)
-                except PhaseJumpTooLarge:
-                    if small:
-                        raise
-                    # a zero sits (numerically) on the boundary; splitting
-                    # moves the edges, and the final count-conservation check
-                    # still guards against anything getting lost
-                    cnt = None
-                if cnt is not None:
-                    if cnt <= 0:
-                        continue
-                    if small:
-                        roots.append(
-                            (cmath.exp(complex(0.5 * (a0 + a1), 0.5 * (b0 + b1))), cnt)
-                        )
-                        continue
-                # split off-center so repeated subdivision never drives a cell
-                # boundary straight into a zero
-                am = a0 + 0.531 * (a1 - a0)
-                bm = b0 + 0.531 * (b1 - b0)
-                stack.extend(
-                    [(a0, am, b0, bm), (am, a1, b0, bm), (a0, am, bm, b1), (am, a1, bm, b1)]
-                )
-            if sum(c for _, c in roots) != total:
-                raise PhaseJumpTooLarge("lost roots during subdivision")
-            return roots, total
-        except (PhaseJumpTooLarge, ContourTooClose):
-            # ContourTooClose: a cell edge passes through a zero
+            total = _rect_winding(f, 0, cells[0][0], cells[-1][1], 16 * sectors, np.exp, policy)
+            roots = _root_quadtree(f, 0, cells, KERNEL_EDGE_SAMPLES, np.exp, policy,
+                                   SMALL_BOX_RTOL * L, KERNEL_MIN_SIZE)
+        except (PhaseJumpTooLarge, ContourTooClose):  # a zero on or near a cell edge
             continue
+        if sum(c for _, c in roots) == total:  # else roots were lost in the search
+            return [(cmath.exp(p), c) for p, c in roots], total
     raise RootNotFound("annulus root search failed for every boundary offset")
-
-
-def _refine_root(f: FunctionExpr, z: complex, mult: int, policy) -> complex:
-    """Polish an annulus zero of multiplicity mult by modified Newton steps."""
-
-    def val(w):
-        lg = f.breve_log(complex(w), policy)
-        return cmath.exp(lg) if lg.real != -math.inf else 0.0 + 0.0j
-
-    return _newton_polish(val, z, mult)[0]
 
 
 def _same_class(z1: complex, z2: complex, q: QParam) -> bool:
@@ -247,19 +199,17 @@ def kernel_solve(terms, q: QParam, policy=DEFAULT_POLICY) -> KernelSolution:
             )
         classes = []  # [representative, representative multiplicity, class total]
         for z, cnt in roots:
-            placed = False
             for cls in classes:
                 if _same_class(z, cls[0], q):
                     cls[2] += cnt
-                    placed = True
                     break
-            if not placed:
+            else:
                 classes.append([z, cnt, cnt])
         c_gens = []
         for z, mult, cnt in classes:
             if cnt % 2 != 0:
                 raise RootNotFound(f"class of {z} has odd zero count {cnt}")
-            z = _refine_root(f, z, mult, policy)
+            z = _newton_polish(_value(f, 0, complex, policy), z, mult)[0]
             c_gens.extend([z] * (cnt // 2))
         if len(c_gens) != m:
             raise RootNotFound(f"recovered {len(c_gens)} generators, expected {m}")

@@ -84,6 +84,12 @@ PHASE_WALK_MAX_DEPTH = 28
 # point) stops splitting and reports its centre: on the edges of such a box
 # a double a-point still leaves |f - a| ~ 1e-14 |f''|, above roundoff
 APOINT_MIN_SIZE = 1e-7
+# the same for the kernel's log-z cells: near a double zero f ~ d^2, so below
+# ~3e-7 a cell probes roundoff; matching zero classes needs roots to ~1e-6
+KERNEL_MIN_SIZE = 3e-7
+# samples per edge of the kernel's cells: sectors are 2 pi / 64 wide and an
+# annulus holds a few zeros, so no step of the phase walk turns by 2 pi
+KERNEL_EDGE_SAMPLES = 12
 # boxes with an edge below this share of r are small: a small box with one
 # a-point is handed to Newton (from a larger box the start is too far from
 # the point for Newton to be worth the evaluations), and a small box with
@@ -530,113 +536,117 @@ def _newton_polish(val, z: complex, mult: int, floor: float = 0.0):
     return best, last
 
 
-def _polish_apoint(f, a, x0, x1, policy):
-    """The single a-point in the box [x0, x1] by Newton from its centre, or None."""
+def _value(f, a, to_z, policy):
+    """The scalar function p -> f(to_z(p)) - a, which reads -a at a zero of f."""
 
-    def val(x):
-        lg = f.breve_log(lift_to_z(x), policy)
+    def val(p):
+        lg = f.breve_log(complex(to_z(p)), policy)
         return cmath.exp(lg) - a if lg.real != -math.inf else -a
 
+    return val
+
+
+def _polish_root(f, a, p0, p1, to_z, policy):
+    """The single root of f - a in the cell [p0, p1] by Newton from its centre, or None.
+
+    Kept when Newton converged (NEWTON_STEP_RTOL, NEWTON_RESIDUAL_RTOL), the
+    root is simple enough for roundoff in f to move it less (F_ROUNDOFF_RTOL)
+    and it lies in the cell: then it is accurate to that roundoff over |f'|.
+    """
+    val = _value(f, a, to_z, policy)
     try:
-        x, step = _newton_polish(val, 0.5 * (x0 + x1), 1, floor=1.0)
-        h = 1e-6 * max(abs(x), 1.0)
-        slope = abs(val(x + h) - val(x - h)) / (2.0 * h)
-        residual = abs(val(x))
+        p, step = _newton_polish(val, 0.5 * (p0 + p1), 1, floor=1.0)
+        h = 1e-6 * max(abs(p), 1.0)
+        slope = abs(val(p + h) - val(p - h)) / (2.0 * h)
+        residual = abs(val(p))
     except OverflowError:  # an iterate went where |f| overflows
         return None
-    tol_x = NEWTON_STEP_RTOL * max(1.0, abs(x))
+    tol_p = NEWTON_STEP_RTOL * max(1.0, abs(p))
     tol_f = max(1.0, abs(a))
     # written so that a NaN fails every test
     if not (
-        step <= tol_x
+        step <= tol_p
         and residual <= NEWTON_RESIDUAL_RTOL * tol_f
-        and F_ROUNDOFF_RTOL * tol_f <= slope * tol_x
-        and x0.real <= x.real <= x1.real
-        and x0.imag <= x.imag <= x1.imag
+        and F_ROUNDOFF_RTOL * tol_f <= slope * tol_p
+        and p0.real <= p.real <= p1.real
+        and p0.imag <= p.imag <= p1.imag
     ):
         return None
-    return x
+    return p
 
 
-def apoint_events(f, a: complex, r: float, policy=DEFAULT_POLICY, min_size=APOINT_MIN_SIZE):
-    """Locate a-points of f in |x| < r by quadtree subdivision.
+def _root_quadtree(f, a, cells, per_edge, to_z, policy, small, min_size, poles=()):
+    """(location, multiplicity) of the roots of f - a in parameter-plane cells.
 
-    Returns a list of (location, multiplicity), sorted by modulus.  The
-    count in each box is the winding of f - a around it, corrected by the
-    exact pole ledger; counts come from windings only.  A box whose count
-    is exactly 1 and whose edge is below SMALL_BOX_RTOL * r is handed to
-    Newton on f - a from its centre: the point is kept when the iteration
-    converged (NEWTON_STEP_RTOL, NEWTON_RESIDUAL_RTOL), the point is simple
-    enough for roundoff in f to move it less than that (F_ROUNDOFF_RTOL) and
-    it lies in the box, so it is accurate to the roundoff of f - a over
-    |f'| (about 1e-13 relative at a well-separated point); otherwise the box
-    is split.  A box holding two or more a-points (a cluster or a multiple
-    point) is bisected down to ``min_size`` and reported at its centre,
-    within ``min_size`` of its points.  A small such box is reported early,
-    within its own size of its points, when its quarters cannot be counted:
-    an edge through the roundoff floor of f - a at a multiple point (about
-    sqrt(1e-16 |a|) away at a double one) gives no winding, or windings
-    that do not add up.  Any other box whose quarters' counts do not add up
-    raises PhaseJumpTooLarge.  Intended for modest radii; cost grows with
-    the number of a-points.
+    ``to_z`` maps the plane to z.  A cell (p0, p1) counts the winding of f - a
+    plus the orders of the ``poles`` (location, order) inside.  Cells split at
+    the midpoint, and their quarters' counts are trusted (finer edges alias
+    less); a count that does not settle splits its cell.  A cell of count 1
+    below ``small`` goes to _polish_root.  A cell below ``min_size``, or a small
+    one of several roots whose quarters do not count or add up (a cluster, or a
+    multiple root at the roundoff floor of f - a), is reported at its centre.
+    Raises PhaseJumpTooLarge unless the roots add up to the start cells' counts.
+    """
+
+    def count(p0, p1):
+        try:
+            w = _rect_winding(f, a, p0, p1, per_edge, to_z, policy)
+        except (ContourTooClose, PhaseJumpTooLarge):
+            return None
+        return w + sum(
+            h for x, h in poles if p0.real < x.real <= p1.real and p0.imag < x.imag <= p1.imag
+        )
+
+    found, expected = [], 0
+    # (corners, count or None, whether no enclosing cell has a count)
+    stack = [(p0, p1, count(p0, p1), True) for p0, p1 in cells]
+    while stack:
+        p0, p1, n, top = stack.pop()
+        expected += n if top and n is not None else 0
+        if n is not None and n <= 0:
+            continue
+        c = 0.5 * (p0 + p1)
+        size = max(p1.real - p0.real, p1.imag - p0.imag)
+        if size < min_size:
+            if n is None:
+                raise PhaseJumpTooLarge(f"count of the cell at {c} did not settle")
+            found.append((c, n))
+            continue
+        if n == 1 and size < small:
+            p = _polish_root(f, a, p0, p1, to_z, policy)
+            if p is not None:
+                found.append((p, 1))
+                continue
+        quarters = [(p0, c), (complex(c.real, p0.imag), complex(p1.real, c.imag)),
+                    (complex(p0.real, c.imag), complex(c.real, p1.imag)), (c, p1)]
+        counts = [count(*cell) for cell in quarters]
+        cluster = n is not None and n > 1 and size < small
+        if cluster and (None in counts or min(counts) < 0 or sum(counts) != n):
+            found.append((c, n))
+            continue
+        stack.extend((*cell, k, top and n is None) for cell, k in zip(quarters, counts))
+    if sum(h for _, h in found) != expected:
+        raise PhaseJumpTooLarge(f"roots found do not add up to the count {expected}")
+    return found
+
+
+def apoint_events(f, a: complex, r: float, policy=DEFAULT_POLICY):
+    """Locate a-points of f in |x| < r, as (location, multiplicity) sorted by modulus.
+
+    _root_quadtree searches one box around the disc, with the exact pole
+    ledger.  A cluster or a multiple point is reported within APOINT_MIN_SIZE,
+    or within its box when an edge through the roundoff floor of f - a (about
+    sqrt(1e-16 |a|) from a double point) stops the counts.  Cost grows with
+    the number of a-points, so radii should be modest.
     """
     f = _as_expr(f)
-    poles = merged_ledger(f, 2.0 * r * math.sqrt(2.0), "Pole")
-
-    def count(x0, x1):
-        poles_in = sum(
-            -e.multiplicity
-            for e in poles
-            if x0.real < e.x.real <= x1.real and x0.imag < e.x.imag <= x1.imag
-        )
-        return _rect_winding(f, a, x0, x1, BOX_EDGE_SAMPLES, lift_to_z_array, policy) + poles_in
-
+    poles = [(e.x, -e.multiplicity) for e in merged_ledger(f, 2.0 * r * math.sqrt(2.0), "Pole")]
     # slightly irrational offset so lattice points never sit on box edges
     eps = r * 1e-4 * (1.0 + math.pi / 1e3)
-    x0, x1 = complex(-r - eps, -r - eps), complex(r + eps * 1.3, r + eps * 1.3)
-    found = []
-    stack = [(x0, x1, count(x0, x1))]
-    while stack:
-        x0, x1, nz = stack.pop()
-        if nz <= 0:
-            continue
-        center = 0.5 * (x0 + x1)
-        size = max(x1.real - x0.real, x1.imag - x0.imag)
-        small = size < SMALL_BOX_RTOL * r
-        if size < min_size:
-            if abs(center) < r:
-                found.append((center, nz))
-            continue
-        if nz == 1 and small:
-            x = _polish_apoint(f, a, x0, x1, policy)
-            if x is not None:
-                if abs(x) < r:
-                    found.append((x, 1))
-                continue
-        mx = 0.5 * (x0.real + x1.real)
-        my = 0.5 * (x0.imag + x1.imag)
-        quarters = [
-            (x0, complex(mx, my)),
-            (complex(mx, x0.imag), complex(x1.real, my)),
-            (complex(x0.real, my), complex(mx, x1.imag)),
-            (complex(mx, my), x1),
-        ]
-        cluster = nz > 1 and small
-        try:
-            counts = [count(*box) for box in quarters]
-        except (ContourTooClose, PhaseJumpTooLarge):
-            if not cluster:
-                raise
-            counts = None
-        if counts is None or min(counts) < 0 or sum(counts) != nz:
-            if not cluster:
-                raise PhaseJumpTooLarge(f"quarter counts {counts} do not add up to {nz}")
-            if abs(center) < r:
-                found.append((center, nz))
-            continue
-        stack.extend((*box, n) for box, n in zip(quarters, counts))
-    found.sort(key=lambda p: abs(p[0]))
-    return found
+    box = (complex(-r - eps, -r - eps), complex(r + eps * 1.3, r + eps * 1.3))
+    found = _root_quadtree(f, a, [box], BOX_EDGE_SAMPLES, lift_to_z_array, policy,
+                           SMALL_BOX_RTOL * r, APOINT_MIN_SIZE, poles)
+    return sorted(((x, h) for x, h in found if abs(x) < r), key=lambda p: abs(p[0]))
 
 
 # --- checkers -------------------------------------------------------------------

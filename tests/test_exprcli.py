@@ -1,7 +1,9 @@
 """Expression grammar round trips, fuzzing, lowering, and CLI exit codes."""
 
+import io
 import json
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -244,6 +246,23 @@ def test_cli_char_csv_columns(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "r,m,n,N,T,n_aw,N_aw"
     assert len(lines) == 5
+
+
+class _ClosedPipe(io.StringIO):
+    """An output stream whose reader has gone, as under ``awnev ... | head -1``."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_cli_broken_pipe_exits_quietly(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    rc = main(
+        ["char", "--q", "0.5", "--expr", "1/pinf(0.4)", "--rmin", "10",
+         "--rmax", "1000", "--points", "5"]
+    )
+    assert rc == 1
+    assert capsys.readouterr().err == ""
 
 
 def test_cli_json_metadata(capsys):

@@ -7,6 +7,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from awnev import kernel, nevanlinna
 from awnev.errors import DegenerateGenerator, RootNotFound, VerificationFailed
 from awnev.funcrep import evaluate
 from awnev.kernel import (
@@ -19,7 +20,7 @@ from awnev.kernel import (
     theta,
     verify_identity,
 )
-from awnev.qcore import QParam, qpoch_infinite
+from awnev.qcore import DEFAULT_POLICY, QParam, qpoch_infinite
 
 
 def test_make_fab_is_kernel_member():
@@ -73,6 +74,30 @@ def test_kernel_solve_two_terms_round_trip():
     rhs = kernel_pair_form(sol.c_generators, q, constant=sol.C)
     x = 4.1 - 0.7j
     assert evaluate(f, x) == pytest.approx(evaluate(rhs, x), rel=1e-7)
+
+
+def test_kernel_solve_newton_stop(monkeypatch):
+    # each simple annulus zero is polished by Newton once its cell isolates
+    # it, instead of being bisected down to the cell floor
+    q = QParam(0.35)
+    terms = [KernelTermSpec(1.3, (0.8 + 0.3j,)), KernelTermSpec(0.7 - 0.2j, (-0.6,))]
+    roots, total = kernel._annulus_roots(kernel_sum_expr(terms, q), q, DEFAULT_POLICY)
+    assert total == 2 and [h for _, h in roots] == [1, 1]
+    accepted = []
+    polish = nevanlinna._polish_root
+
+    def spy(*args):
+        p = polish(*args)
+        if p is not None:
+            accepted.append(cmath.exp(p))
+        return p
+
+    monkeypatch.setattr(nevanlinna, "_polish_root", spy)
+    sol = kernel_solve(terms, q)
+    assert sol.residual < 1e-7
+    assert len(accepted) == len(roots)
+    for z, _ in roots:
+        assert min(abs(z - w) for w in accepted) <= 1e-12 * abs(z)
 
 
 def test_kernel_solve_theta_identity_instance():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from awnev import nevanlinna
-from awnev.errors import GridTooSmall, InvalidParams, PhaseJumpTooLarge
+from awnev.errors import ContourTooClose, GridTooSmall, InvalidParams, PhaseJumpTooLarge
 from awnev.funcrep import (
     FunctionExpr,
     ProductFactor,
@@ -244,14 +244,53 @@ def test_apoint_events_double_point(r):
     assert abs(x0) <= 1e-6
 
 
-def test_apoint_events_unresolved_triple_point_raises():
-    # 1 + x^3 = 1 at x = 0, three times, 1.5e-5 from both first-level
-    # edges: the quarters alias the winding into counts 1, 1, 1, 0, and
-    # Newton on the quarter holding x = 0 stops where f - a reads 0.  The
-    # search must fail rather than report a simple a-point.
+@pytest.mark.parametrize(
+    "c, qv, a, r, count",
+    [
+        (0.6, 0.3, 0.5 + 0.5j, 300.0, 5),
+        (0.3 + 0.4j, 0.2, 1.5 - 0.5j, 985.0, 5),
+        (0.7, 0.4, 1.5 + 0.5j, 80.0, 6),
+    ],
+)
+def test_apoint_events_quarters_trusted(c, qv, a, r, count):
+    # here some box's quarters do not add up to its own count (a coarse edge
+    # aliases a turn of 2 pi); the search goes on with the quarters' counts
+    # and checks the total against the first box, where all three inputs
+    # raised PhaseJumpTooLarge as soon as the counts disagreed
+    q = QParam(qv)
+    f = FunctionExpr(((1.0, ProductForm(1.0, (), (ProductFactor(c, q.q, 1),), q)),))
+    pts = apoint_events(f, a, r)
+    poles = sum(-ev.multiplicity for ev in merged_ledger(f, r, "Pole"))
+    assert sum(h for _, h in pts) == argument_principle_count(f, a, r) + poles == count
+    for x0, h in pts:
+        if h == 1:
+            assert abs(evaluate(f, x0) - a) <= 1e-9 * max(1.0, abs(a))
+
+
+@pytest.mark.parametrize("r", [1.0, 1.5])
+def test_apoint_events_triple_point(r):
+    # 1 + x^3 = 1 at x = 0, three times.  At r = 1 it sits 1.5e-5 from both
+    # first-level edges, and the quarters alias the winding into counts
+    # 1, 1, 1, 0; their own quarters settle it, down to one small box of
+    # count 3 whose quarters cannot be counted, reported at its centre.
     f = ProductForm(1.0, (1.0, 0.0, 0.0, 1.0), (), Q5)
-    with pytest.raises(PhaseJumpTooLarge):
-        apoint_events(f, 1.0, 1.0)
+    pts = apoint_events(f, 1.0, r)
+    assert len(pts) == 1
+    x0, h = pts[0]
+    assert h == 3
+    assert abs(x0) <= 1e-6
+
+
+def test_apoint_events_unresolved_triple_point_raises():
+    # the same triple point moved off the origin: quarters alias its count
+    # to 1 down to boxes of edge 1e-4, Newton refuses a multiple point, and
+    # edges through the roundoff floor of f - a leave boxes uncounted down
+    # to the floor; the search must fail rather than report a number
+    coeffs = np.polynomial.polynomial.polyfromroots([0.3 + 0.2j] * 3)
+    coeffs[0] += 1.0
+    f = ProductForm(1.0, tuple(coeffs), (), Q5)
+    with pytest.raises((PhaseJumpTooLarge, ContourTooClose)):
+        apoint_events(f, 1.0, 1.5)
 
 
 def test_apoint_events_newton_fallback(monkeypatch):
@@ -273,13 +312,13 @@ def test_apoint_events_newton_fallback(monkeypatch):
     coeffs[0] += a
     f = ProductForm(1.0, tuple(coeffs), (), Q5)
     tried = []
-    polish = nevanlinna._polish_apoint
+    polish = nevanlinna._polish_root
 
     def spy(*args):
         tried.append(polish(*args))
         return tried[-1]
 
-    monkeypatch.setattr(nevanlinna, "_polish_apoint", spy)
+    monkeypatch.setattr(nevanlinna, "_polish_root", spy)
     pts = apoint_events(f, a, r)
     assert None in tried
     assert sum(h for _, h in pts) == argument_principle_count(f, a, r) == 2
