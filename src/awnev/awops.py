@@ -14,9 +14,9 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import BranchDegenerate, DegenerateGenerator, InvalidParams, SelfCheckFailed
+from .errors import DegenerateGenerator, InvalidParams, SelfCheckFailed
 from .funcrep import FunctionExpr, ProductForm, evaluate
-from .qcore import DEFAULT_POLICY, QParam, lift_to_z, qpoch_finite
+from .qcore import QParam, lift_to_z, qpoch_finite
 
 __all__ = [
     "ChebKind",
@@ -33,20 +33,19 @@ __all__ = [
     "phi_basis",
 ]
 
-CENTRAL_DIFF_STEP = 1e-6
-BRANCH_POINT_TOL = 1e-9
-# relative nudge d of z off a branch point z = +-1, where aw_diff_iterate's D_q is
-# 0/0: x moves by only d^2/2 (5e-13), while cancellation costs 1e-16 / d (1e-10)
+# a z within d = BRANCH_POINT_NUDGE of a branch point z = +-1, where D_q is
+# 0/0, moves to z (1 + d): x moves by less than 2 d^2 (2e-12), and the nudged
+# z, about d or more from +-1, leaves a cancellation of at most ~1e-16 / d (1e-10)
 BRANCH_POINT_NUDGE = 1e-6
 
 
-def as_breve(f, policy=DEFAULT_POLICY):
+def as_breve(f):
     """Adapt f (FunctionExpr, ProductForm, or callable in x) to a breve callable."""
     if isinstance(f, ProductForm):
         f = f.as_expr()
     if isinstance(f, FunctionExpr):
         def g(z):
-            lg = f.breve_log(complex(z), policy)
+            lg = f.breve_log(complex(z))
             if lg.real == -math.inf:
                 return 0.0 + 0.0j
             return cmath.exp(lg)
@@ -85,39 +84,26 @@ def avg_breve(g, q: QParam):
     return ag
 
 
-def _x_eval(f, x, policy):
-    """Evaluate f at an x-point for the central-difference branch path."""
+def _x_eval(f, x):
+    """Evaluate f (FunctionExpr, ProductForm, or callable in x) at an x-point."""
     if isinstance(f, (FunctionExpr, ProductForm)):
-        return evaluate(f, x, policy)
+        return evaluate(f, x)
     return f(x)
 
 
-def aw_diff(f, x: complex, q: QParam = None, policy=DEFAULT_POLICY) -> complex:
-    """(D_q f)(x) with the branch-point limit handled at x = +-1.
+def aw_diff(f, x: complex, q: QParam = None) -> complex:
+    """(D_q f)(x), with the branch-point limit of aw_diff_iterate near x = +-1.
 
     At x = +-1 the divided difference degenerates to the ordinary derivative
-    at the image point +-(q^(1/2) + q^(-1/2))/2, taken by central difference.
+    at the image point +-(q^(1/2) + q^(-1/2))/2.
     """
-    q = _operator_q(f, q)
-    x = complex(x)
-    sign = 1.0 if abs(x - 1.0) <= BRANCH_POINT_TOL else (
-        -1.0 if abs(x + 1.0) <= BRANCH_POINT_TOL else 0.0
-    )
-    if sign:
-        x1 = sign * (q.sqrt_q + 1.0 / q.sqrt_q) / 2.0
-        h = CENTRAL_DIFF_STEP
-        try:
-            return (_x_eval(f, x1 + h, policy) - _x_eval(f, x1 - h, policy)) / (2.0 * h)
-        except Exception as exc:  # pragma: no cover - diagnostic path
-            raise BranchDegenerate(f"derivative fallback failed at x = {x}") from exc
-    g = as_breve(f, policy)
-    return dq_breve(g, q)(lift_to_z(x))
+    return aw_diff_iterate(f, 1, x, q)
 
 
-def aw_avg(f, x: complex, q: QParam = None, policy=DEFAULT_POLICY) -> complex:
+def aw_avg(f, x: complex, q: QParam = None) -> complex:
     """(A_q f)(x) = (f-breve(q^(1/2) z) + f-breve(q^(-1/2) z))/2."""
     q = _operator_q(f, q)
-    g = as_breve(f, policy)
+    g = as_breve(f)
     return avg_breve(g, q)(lift_to_z(x))
 
 
@@ -146,22 +132,25 @@ def phi_basis(n: int, a: complex, q: QParam, x: complex) -> complex:
     return out
 
 
-def aw_diff_iterate(f, k: int, x: complex, q: QParam = None, policy=DEFAULT_POLICY) -> complex:
-    """(D_q^k f)(x) by iterated operator application in the z-domain."""
+def aw_diff_iterate(f, k: int, x: complex, q: QParam = None) -> complex:
+    """(D_q^k f)(x) by iterated operator application in the z-domain.
+
+    A point z within BRANCH_POINT_NUDGE of a branch point +-1 is nudged off it.
+    """
     if k < 1:
         raise InvalidParams("k must be >= 1")
     q = _operator_q(f, q)
-    g = as_breve(f, policy)
+    g = as_breve(f)
     for _ in range(k):
         g = dq_breve(g, q)
     z = lift_to_z(x)
-    if min(abs(z - 1.0), abs(z + 1.0)) <= BRANCH_POINT_TOL:
+    if min(abs(z - 1.0), abs(z + 1.0)) < BRANCH_POINT_NUDGE:
         # degenerate denominator; evaluate the symmetric limit a hair off
         z = z * (1.0 + BRANCH_POINT_NUDGE)
     return g(z)
 
 
-def aw_taylor(f, a: complex, K: int, q: QParam = None, policy=DEFAULT_POLICY):
+def aw_taylor(f, a: complex, K: int, q: QParam = None):
     """Interpolation-series coefficients of f in the basis phi_k(x; a).
 
     coefficient_k = (q-1)^k / ((2a)^k (q;q)_k) * q^(-k(k-1)/4) * (D_q^k f)(x_k)
@@ -176,9 +165,9 @@ def aw_taylor(f, a: complex, K: int, q: QParam = None, policy=DEFAULT_POLICY):
         w = a * s**k
         xk = (w + 1.0 / w) / 2.0
         if k == 0:
-            val = _x_eval(f, xk, policy)
+            val = _x_eval(f, xk)
         else:
-            val = aw_diff_iterate(f, k, xk, q, policy)
+            val = aw_diff_iterate(f, k, xk, q)
         pref = (q.q - 1.0) ** k / ((2.0 * a) ** k * qpoch_finite(q.q, q, k))
         pref *= s ** (-k * (k - 1) / 2.0) if k else 1.0
         coeffs.append(pref * val)

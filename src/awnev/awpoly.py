@@ -33,7 +33,7 @@ from .errors import (
     QuadratureNonconvergent,
 )
 from .funcrep import ProductFactor, ProductForm, evaluate
-from .qcore import DEFAULT_POLICY, QParam, lift_to_z, qpoch_finite, qpoch_infinite
+from .qcore import QParam, lift_to_z, qpoch_finite, qpoch_infinite
 
 __all__ = [
     "AWParams",
@@ -57,6 +57,9 @@ CANCEL_FLOOR = 1e-6
 # truncation tail left by the default number of terms of generating_residual:
 # four orders below the 1e-9 the residual is checked against
 GEN_TAIL_TOL = 1e-12
+# points x of eigen_residual and rodrigues_residual: 13 points of (-1, 1),
+# where the weight lives, kept 0.09 or more from its singular branch points +-1
+RESIDUAL_X_GRID = np.linspace(-0.87, 0.91, 13)
 
 
 @dataclass(frozen=True)
@@ -159,7 +162,7 @@ def aw_polynomial(n: int, p: AWParams, x: complex) -> complex:
     return polynomial_breve(n, p)(z)
 
 
-def weight_breve(p: AWParams, shift: int = 0, policy=DEFAULT_POLICY):
+def weight_breve(p: AWParams, shift: int = 0):
     """The orthogonality weight of the shift-k family as a breve callable.
 
     omega(x) = (z^2, z^-2; q)_inf / (prod_p (p z, p/z; q)_inf * sin(theta))
@@ -173,10 +176,10 @@ def weight_breve(p: AWParams, shift: int = 0, policy=DEFAULT_POLICY):
         sin_t = (z - 1.0 / z) / 2.0j
         if abs(sin_t) < BRANCH_TOL:
             raise BranchDegenerate("weight is singular at x = +-1")
-        num = qpoch_infinite(z * z, q, policy) * qpoch_infinite(1.0 / (z * z), q, policy)
+        num = qpoch_infinite(z * z, q) * qpoch_infinite(1.0 / (z * z), q)
         den = sin_t
         for w in ps:
-            den *= qpoch_infinite(w * z, q, policy) * qpoch_infinite(w / z, q, policy)
+            den *= qpoch_infinite(w * z, q) * qpoch_infinite(w / z, q)
         if den == 0:
             raise PoleHit("x is a pole of the weight")
         return num / den
@@ -184,13 +187,13 @@ def weight_breve(p: AWParams, shift: int = 0, policy=DEFAULT_POLICY):
     return g
 
 
-def aw_weight(x: complex, p: AWParams, shift: int = 0, policy=DEFAULT_POLICY) -> complex:
+def aw_weight(x: complex, p: AWParams, shift: int = 0) -> complex:
     """omega(x; a q^(shift/2), ..., d q^(shift/2) | q) at a point off the poles."""
     x = complex(x)
     if min(abs(x - 1.0), abs(x + 1.0)) < 1e-9:
         raise BranchDegenerate("weight is singular at x = +-1")
     z = lift_to_z(x)
-    return weight_breve(p, shift, policy)(z)
+    return weight_breve(p, shift)(z)
 
 
 def eigenvalue(n: int, p: AWParams) -> complex:
@@ -201,27 +204,21 @@ def eigenvalue(n: int, p: AWParams) -> complex:
     return 4.0 * q ** (-n + 1) * (1.0 - q**n) * (1.0 - p.abcd * q ** (n - 1))
 
 
-def _default_x_grid():
-    return np.linspace(-0.87, 0.91, 13)
-
-
-def eigen_residual(n: int, p: AWParams, grid=None, policy=DEFAULT_POLICY) -> float:
-    """Max relative residual of the self-adjoint difference equation on the grid.
+def eigen_residual(n: int, p: AWParams) -> float:
+    """Max relative residual of the self-adjoint difference equation on RESIDUAL_X_GRID.
 
     (1 - q)^2 D_q[omega-tilde * D_q p_n] + lambda_n * omega * p_n = 0,
     with omega-tilde the shift-1 weight and every D_q applied numerically.
     """
-    if grid is None:
-        grid = _default_x_grid()
     q = p.q
     lam = eigenvalue(n, p)
     pn = polynomial_breve(n, p)
     flux = dq_breve(pn, q)
-    wt = weight_breve(p, 1, policy)
-    w0 = weight_breve(p, 0, policy)
+    wt = weight_breve(p, 1)
+    w0 = weight_breve(p, 0)
     outer = dq_breve(lambda z: wt(z) * flux(z), q)
     worst = 0.0
-    for x in grid:
+    for x in RESIDUAL_X_GRID:
         z = lift_to_z(x)
         lhs = (1.0 - q.q) ** 2 * outer(z)
         rhs = lam * w0(z) * pn(z)
@@ -230,8 +227,8 @@ def eigen_residual(n: int, p: AWParams, grid=None, policy=DEFAULT_POLICY) -> flo
     return worst
 
 
-def rodrigues_residual(n: int, p: AWParams, grid=None, policy=DEFAULT_POLICY) -> float:
-    """Max relative residual of the Rodrigues-type formula on the grid.
+def rodrigues_residual(n: int, p: AWParams) -> float:
+    """Max relative residual of the Rodrigues-type formula on RESIDUAL_X_GRID.
 
     (D_q)^n [shift-n weight] = ((q-1)/2)^(-n) q^(-n(n-1)/4) * omega * p_n.
     The q-exponent -n(n-1)/4 and the unshifted weight on the right-hand
@@ -244,18 +241,16 @@ def rodrigues_residual(n: int, p: AWParams, grid=None, policy=DEFAULT_POLICY) ->
     """
     if n < 1:
         raise InvalidParams("n must be >= 1")
-    if grid is None:
-        grid = _default_x_grid()
     q = p.q
-    g = weight_breve(p, n, policy)
+    g = weight_breve(p, n)
     for _ in range(n):
         g = dq_breve(g, q)
     const = ((q.q - 1.0) / 2.0) ** (-n) * q.q ** (-n * (n - 1) / 4.0)
-    w0 = weight_breve(p, 0, policy)
+    w0 = weight_breve(p, 0)
     pn = polynomial_breve(n, p)
     pref, ratios = _series_ratios(n, p)
     worst = 0.0
-    for x in grid:
+    for x in RESIDUAL_X_GRID:
         z = lift_to_z(x)
         lhs = g(z)
         w = const * w0(z)
@@ -270,9 +265,7 @@ def rodrigues_residual(n: int, p: AWParams, grid=None, policy=DEFAULT_POLICY) ->
     return worst
 
 
-def orthogonality_check(
-    m: int, n: int, p: AWParams, quad_nodes: int = 256, policy=DEFAULT_POLICY
-) -> complex:
+def orthogonality_check(m: int, n: int, p: AWParams, quad_nodes: int = 256) -> complex:
     """integral over [-1, 1] of p_m p_n omega dx by Gauss-Legendre in theta.
 
     The substitution x = cos(t) turns omega dx into a smooth integrand
@@ -288,10 +281,10 @@ def orthogonality_check(
 
     def integrand(t: float) -> complex:
         z = cmath.exp(1j * t)
-        num = qpoch_infinite(z * z, q, policy) * qpoch_infinite(1.0 / (z * z), q, policy)
+        num = qpoch_infinite(z * z, q) * qpoch_infinite(1.0 / (z * z), q)
         den = 1.0 + 0.0j
         for w in ps:
-            den *= qpoch_infinite(w * z, q, policy) * qpoch_infinite(w / z, q, policy)
+            den *= qpoch_infinite(w * z, q) * qpoch_infinite(w / z, q)
         return pm(z) * pn(z) * num / den
 
     def gauss(k: int) -> tuple[complex, float]:
@@ -384,13 +377,7 @@ def _series_terms(ratio: float, abs_q: float, abs_beta: float) -> int:
 
 
 def generating_residual(
-    kind,
-    t: complex,
-    beta: complex,
-    x: complex,
-    q: QParam,
-    K: int = None,
-    policy=DEFAULT_POLICY,
+    kind, t: complex, beta: complex, x: complex, q: QParam, K: int = None
 ) -> float:
     """|product-form generating function - truncated coefficient series|.
 
@@ -413,22 +400,12 @@ def generating_residual(
         K = _series_terms(abs(t) * growth, q.abs_q, abs_beta)
     qq = _qpoch_table(q.q, q, K)
     if kind is GenKind.qHermite:
-        lhs = evaluate(
-            ProductForm(1.0, (), (ProductFactor(t, q.q, -1),), q), x, policy
-        )
+        lhs = evaluate(ProductForm(1.0, (), (ProductFactor(t, q.q, -1),), q), x)
         series = sum(_hermite_coeff(k, z, qq) / qq[k] * t**k for k in range(K + 1))
     else:
         beta = complex(beta)
         bb = _qpoch_table(beta, q, K)
-        lhs = evaluate(
-            ProductForm(
-                1.0,
-                (),
-                (ProductFactor(beta * t, q.q, 1), ProductFactor(t, q.q, -1)),
-                q,
-            ),
-            x,
-            policy,
-        )
+        factors = (ProductFactor(beta * t, q.q, 1), ProductFactor(t, q.q, -1))
+        lhs = evaluate(ProductForm(1.0, (), factors, q), x)
         series = sum(_ultra_coeff(n, z, bb, qq) * t**n for n in range(K + 1))
     return abs(lhs - series)

@@ -37,7 +37,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import __version__
-from .awops import aw_diff, aw_diff_iterate
+from .awops import aw_diff_iterate
 from .awpoly import (
     AWParams,
     eigen_residual,
@@ -55,7 +55,7 @@ from .errors import (
     UnsupportedShape,
 )
 from .funcrep import FunctionExpr, ProductFactor, ProductForm, build_named, evaluate
-from .kernel import KernelTermSpec, kernel_residual, kernel_solve, verify_identity
+from .kernel import KERNEL_RTOL, KernelTermSpec, kernel_residual, kernel_solve, verify_identity
 from .nevanlinna import (
     aw_counting,
     characteristic,
@@ -63,7 +63,7 @@ from .nevanlinna import (
     radius_grid,
     share_check,
 )
-from .qcore import DEFAULT_POLICY, QParam, lift_to_z
+from .qcore import QParam, lift_to_z
 
 __all__ = [
     "Const",
@@ -341,8 +341,8 @@ class _Parser:
         raise ExprSyntaxError(f"unexpected token {tok.text!r}", tok.offset)
 
 
-def parse(src: str, q: QParam = None):
-    """Parse an expression string into an AST (the global q is not consulted)."""
+def parse(src: str):
+    """Parse an expression string into an AST (the global q enters at lowering)."""
     if not src or not src.strip():
         raise ExprSyntaxError("empty expression", 0)
     p = _Parser(src)
@@ -568,7 +568,6 @@ def _build_parser() -> argparse.ArgumentParser:
         if expr:
             sub.add_argument("--expr", required=True, help="expression string or @file")
         sub.add_argument("--format", choices=("csv", "json"), default="csv")
-        sub.add_argument("--tol", type=float, default=None, help="residual tolerance")
         return sub
 
     subs = ap.add_subparsers(dest="command", required=True)
@@ -591,7 +590,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rmax", type=float, required=True)
     p.add_argument("--points", type=int, default=12)
 
-    common(subs.add_parser("kernel-check", help="is the expression annihilated by D_q"))
+    p = common(subs.add_parser("kernel-check", help="is the expression annihilated by D_q"))
+    p.add_argument("--tol", type=float, default=KERNEL_RTOL, help="residual tolerance")
 
     p = common(subs.add_parser("kernel-solve", help="solve a kernel combination"), expr=False)
     p.add_argument(
@@ -602,6 +602,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = common(subs.add_parser("theta-verify", help="verify a classical identity"), expr=False)
     p.add_argument("--identity", choices=("triple", "square", "addition"), required=True)
+    p.add_argument("--tol", type=float, default=1e-10, help="residual tolerance")
 
     p = common(subs.add_parser("awpoly", help="polynomial residual tables"), expr=False)
     p.add_argument("--n", type=int, required=True)
@@ -610,6 +611,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c", required=True)
     p.add_argument("--d", required=True)
     p.add_argument("--mode", choices=("eigen", "rodrigues", "ortho"), default="eigen")
+    p.add_argument("--tol", type=float, default=None, help="residual tolerance (none: no check)")
 
     p = common(subs.add_parser("asym-check", help="asymptotic error vs bound"), expr=False)
     p.add_argument("--a", required=True)
@@ -624,17 +626,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _char_rows(f, rs, policy):
+def _char_rows(f, rs):
     rows = []
     for r in rs:
-        rec = characteristic(f, r, policy=policy)
-        red = aw_counting(f, r, "Pole", policy)
+        rec = characteristic(f, r)
+        red = aw_counting(f, r, "Pole")
         rows.append([rec.r, rec.m, rec.n_count, rec.N, rec.T, red.n_aw, red.N_aw])
     return rows
 
 
 def _run(args) -> int:
-    policy = DEFAULT_POLICY
     fmt = args.format
     q = QParam(parse_complex(args.q))
     meta = {"q": format_complex(q.q), "tool": "awnev", "version": __version__}
@@ -642,10 +643,9 @@ def _run(args) -> int:
         src = _load_expr(args.expr)
         meta["expression"] = src
         f = lower(parse(src), q)
-    tol = args.tol
 
     if args.command == "eval":
-        v = evaluate(f, parse_complex(args.x), policy)
+        v = evaluate(f, parse_complex(args.x))
         _emit([[_fmt_value(v)]], ["value"], fmt, meta)
         return 0
 
@@ -653,22 +653,19 @@ def _run(args) -> int:
         x = parse_complex(args.x)
         if args.order < 1:
             raise SemanticError("--order must be >= 1")
-        if args.order == 1:
-            v = aw_diff(f, x, q, policy)
-        else:
-            v = aw_diff_iterate(f, args.order, x, q, policy)
+        v = aw_diff_iterate(f, args.order, x, q)
         _emit([[_fmt_value(v)]], ["value"], fmt, meta)
         return 0
 
     if args.command == "char":
         rs = radius_grid(f, args.rmin, args.rmax, args.points)
-        _emit(_char_rows(f, rs, policy), _CHAR_COLUMNS, fmt, meta)
+        _emit(_char_rows(f, rs), _CHAR_COLUMNS, fmt, meta)
         return 0
 
     if args.command == "deficiency":
         values = [parse_complex(v) for v in args.value]
         rs = radius_grid(f, args.rmin, args.rmax, args.points)
-        reports, total = deficiencies(f, rs, values, policy=policy)
+        reports, total = deficiencies(f, rs, values)
         rows = [
             [_fmt_value(rep.value), rep.delta, rep.vartheta_aw, rep.theta_aw]
             for rep in reports
@@ -678,25 +675,23 @@ def _run(args) -> int:
         return 0
 
     if args.command == "kernel-check":
-        tol = 1e-8 if tol is None else tol
-        residual = kernel_residual(f, policy=policy)
-        ok = residual < tol
+        residual = kernel_residual(f)
+        ok = residual < args.tol
         _emit([[ok, residual]], ["member", "max_residual"], fmt, meta)
         return 0 if ok else 3
 
     if args.command == "kernel-solve":
         terms = _parse_terms(args.terms)
-        sol = kernel_solve(terms, q, policy)
+        sol = kernel_solve(terms, q)
         rows = [[_fmt_value(c) for c in sol.c_generators] + [_fmt_value(sol.C), sol.residual]]
         cols = [f"c{i + 1}" for i in range(len(sol.c_generators))] + ["C", "residual"]
         _emit(rows, cols, fmt, meta)
         return 0
 
     if args.command == "theta-verify":
-        tol = 1e-10 if tol is None else tol
-        residual = _theta_verify(args.identity, q, policy)
+        residual = _theta_verify(args.identity, q)
         _emit([[args.identity, residual]], ["identity", "max_residual"], fmt, meta)
-        return 0 if residual <= tol else 3
+        return 0 if residual <= args.tol else 3
 
     if args.command == "awpoly":
         p = AWParams(
@@ -707,31 +702,31 @@ def _run(args) -> int:
             q,
         )
         if args.mode == "eigen":
-            rows = [[n, eigen_residual(n, p, policy=policy)] for n in range(args.n + 1)]
+            rows = [[n, eigen_residual(n, p)] for n in range(args.n + 1)]
             cols = ["n", "residual"]
         elif args.mode == "rodrigues":
             rows = [
-                [n, rodrigues_residual(n, p, policy=policy)]
+                [n, rodrigues_residual(n, p)]
                 for n in range(1, max(args.n, 1) + 1)
             ]
             cols = ["n", "residual"]
         else:
             rows = [
-                [m, n, _fmt_value(orthogonality_check(m, n, p, policy=policy))]
+                [m, n, _fmt_value(orthogonality_check(m, n, p))]
                 for m in range(args.n + 1)
                 for n in range(m, args.n + 1)
             ]
             cols = ["m", "n", "integral"]
         _emit(rows, cols, fmt, meta)
-        if tol is not None and any(
-            isinstance(row[-1], float) and row[-1] > tol for row in rows
+        if args.tol is not None and any(
+            isinstance(row[-1], float) and row[-1] > args.tol for row in rows
         ):
             return 3
         return 0
 
     if args.command == "asym-check":
         a = parse_complex(args.a)
-        worst, bound = _asym_battery(a, q, args.samples, policy)
+        worst, bound = _asym_battery(a, q, args.samples)
         _emit([[worst, bound, worst <= bound]], ["max_error", "bound", "ok"], fmt, meta)
         return 0 if worst <= bound else 3
 
@@ -740,7 +735,7 @@ def _run(args) -> int:
         meta["expression2"] = _load_expr(args.expr2)
         a = parse_complex(args.value)
         rs = radius_grid(f, args.rmin, args.rmax, args.points)
-        rows, verdict = share_check(f, g, a, rs, policy)
+        rows, verdict = share_check(f, g, a, rs)
         out_rows = [list(row) for row in rows]
         out_rows.append(["verdict", "", "", verdict])
         _emit(out_rows, ["r", "N_aw_f", "N_aw_g", "diff"], fmt, meta)
@@ -765,17 +760,17 @@ def _parse_terms(text: str):
     return terms
 
 
-def _theta_verify(identity: str, q: QParam, policy) -> float:
+def _theta_verify(identity: str, q: QParam) -> float:
     rng = np.random.default_rng(7)
     if identity == "triple":
         samples = [
             rng.uniform(0.5, 3.0) * cmath.exp(1j * rng.uniform(0, 2 * math.pi))
             for _ in range(25)
         ]
-        return verify_identity("TripleProduct", q, samples, policy)
+        return verify_identity("TripleProduct", q, samples)
     if identity == "square":
         samples = [complex(rng.uniform(-1.5, 1.5), rng.uniform(-0.3, 0.3)) for _ in range(25)]
-        return verify_identity("SquareSum", q, samples, policy)
+        return verify_identity("SquareSum", q, samples)
     samples = [
         (
             complex(rng.uniform(-1.2, 1.2), rng.uniform(-0.25, 0.25)),
@@ -783,10 +778,10 @@ def _theta_verify(identity: str, q: QParam, policy) -> float:
         )
         for _ in range(25)
     ]
-    return verify_identity("Addition", q, samples, policy)
+    return verify_identity("Addition", q, samples)
 
 
-def _asym_battery(a: complex, q: QParam, samples: int, policy):
+def _asym_battery(a: complex, q: QParam, samples: int):
     form = ProductForm(1.0, (), (ProductFactor(a, q.q, 1),), q)
     bound = asym_error_bound(q)
     rng = np.random.default_rng(3)
@@ -796,7 +791,7 @@ def _asym_battery(a: complex, q: QParam, samples: int, policy):
             1j * rng.uniform(0.0, 2.0 * math.pi)
         )
         z = lift_to_z(x)
-        exact = form.breve_log(z, policy).real
+        exact = form.breve_log(z).real
         approx = asym_log_modulus(a, x, q)
         worst = max(worst, abs(exact - approx))
     return worst, bound

@@ -17,14 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidParams, NumericFailure, PoleHit, SemanticError, UnsupportedShape
-from .qcore import (
-    DEFAULT_POLICY,
-    QParam,
-    TruncationPolicy,
-    lift_to_z,
-    log_qpoch_infinite,
-    qpoch_infinite,
-)
+from .qcore import QParam, lift_to_z, log_qpoch_infinite, qpoch_infinite
 
 __all__ = [
     "ProductFactor",
@@ -84,10 +77,10 @@ class ProductForm:
         if self.poly and self.poly[-1] == 0:
             raise InvalidParams("polynomial coefficients must have nonzero leading term")
 
-    def breve_log(self, z, policy: TruncationPolicy = DEFAULT_POLICY):
+    def breve_log(self, z):
         """log of the z-symmetric evaluator at z (array-safe, complex log).
 
-        Real part is exact to policy tolerance; a zero of the form gives
+        Real part is exact to the qcore tail bound ABS_TOL; a zero of the form gives
         real part -inf.  The function of z is invariant under z <-> 1/z.
         """
         za = np.asarray(z, dtype=complex)
@@ -101,9 +94,7 @@ class ProductForm:
             with np.errstate(divide="ignore", invalid="ignore"):
                 out = out + np.log(pv)
         for f in self.factors:
-            lg = log_qpoch_infinite(f.a * za, f.base, policy) + log_qpoch_infinite(
-                f.a / za, f.base, policy
-            )
+            lg = log_qpoch_infinite(f.a * za, f.base) + log_qpoch_infinite(f.a / za, f.base)
             out = out + f.m * lg
         if za.ndim == 0:
             return complex(out)
@@ -153,7 +144,7 @@ class FunctionExpr:
     def q(self) -> QParam:
         return self.terms[0][1].q
 
-    def breve_log(self, z, policy: TruncationPolicy = DEFAULT_POLICY):
+    def breve_log(self, z):
         """Complex log of the sum of terms via a log-sum-exp in the modulus.
 
         Stable for |values| up to exp(+-1e4); the dominant term's log sets
@@ -162,7 +153,7 @@ class FunctionExpr:
         za = np.asarray(z, dtype=complex)
         logs = []
         for c, form in self.terms:
-            lg = np.asarray(form.breve_log(za, policy), dtype=complex)
+            lg = np.asarray(form.breve_log(za), dtype=complex)
             if c == 0:
                 lg = np.full(za.shape, complex(-math.inf, 0.0))
             else:
@@ -195,7 +186,7 @@ def _pole_guard(f: FunctionExpr, x: complex):
                     raise PoleHit(f"x = {x} is a pole (lattice exponent {ev.exponent})")
 
 
-def evaluate(f, x: complex, policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
+def evaluate(f, x: complex) -> complex:
     """Numeric value of a FunctionExpr or ProductForm at the point x.
 
     A zero of f evaluates to 0; a NaN log raises NumericFailure.
@@ -204,7 +195,7 @@ def evaluate(f, x: complex, policy: TruncationPolicy = DEFAULT_POLICY) -> comple
         f = f.as_expr()
     _pole_guard(f, x)
     z = lift_to_z(x)
-    lg = f.breve_log(z, policy)
+    lg = f.breve_log(z)
     if lg.real == -math.inf:
         return 0.0 + 0.0j
     if cmath.isnan(lg):
@@ -212,11 +203,11 @@ def evaluate(f, x: complex, policy: TruncationPolicy = DEFAULT_POLICY) -> comple
     return cmath.exp(lg)
 
 
-def log_abs_many(f, z_array, policy: TruncationPolicy = DEFAULT_POLICY) -> np.ndarray:
+def log_abs_many(f, z_array) -> np.ndarray:
     """Vectorized log|f| over an array of z-branch points (for quadrature)."""
     if isinstance(f, ProductForm):
         f = f.as_expr()
-    lg = f.breve_log(np.asarray(z_array, dtype=complex), policy)
+    lg = f.breve_log(np.asarray(z_array, dtype=complex))
     return np.asarray(lg).real
 
 

@@ -35,7 +35,7 @@ from .nevanlinna import (
     _root_quadtree,
     _value,
 )
-from .qcore import DEFAULT_POLICY, QParam, qpoch_infinite
+from .qcore import QParam, qpoch_infinite
 
 __all__ = [
     "KernelTermSpec",
@@ -49,6 +49,18 @@ __all__ = [
     "theta",
     "verify_identity",
 ]
+
+# kernel_member's bound on kernel_residual: make_fab quotients read the
+# roundoff of D_q f, up to 4e-13 (at q = 0.9), and a non-member reads O(1)
+KERNEL_RTOL = 1e-8
+# the points of kernel_residual: KERNEL_GRID_POINTS points of
+# KERNEL_GRID_RMIN <= |x| <= KERNEL_GRID_RMAX, log-uniform in modulus with
+# uniform argument from a generator seeded with KERNEL_GRID_SEED, each kept
+# 1e-3 relatively clear of every zero and pole of f
+KERNEL_GRID_POINTS = 40
+KERNEL_GRID_RMIN = 2.0
+KERNEL_GRID_RMAX = 50.0
+KERNEL_GRID_SEED = 5
 
 
 @dataclass(frozen=True)
@@ -73,15 +85,15 @@ class KernelSolution:
     residual: float
 
 
-def kernel_pair_form(generators, q: QParam, constant=1.0, m_sign=1) -> ProductForm:
-    """Product over generators of [phi(x; a) phi(x; q/a)]^(m_sign)."""
+def kernel_pair_form(generators, q: QParam, constant=1.0) -> ProductForm:
+    """constant * product over generators of phi(x; a) phi(x; q/a)."""
     factors = []
     for a in generators:
         a = complex(a)
         if a == 0:
             raise DegenerateGenerator("generator a = 0")
-        factors.append(ProductFactor(a, q.q, m_sign))
-        factors.append(ProductFactor(q.q / a, q.q, m_sign))
+        factors.append(ProductFactor(a, q.q, 1))
+        factors.append(ProductFactor(q.q / a, q.q, 1))
     # the product merges repeated generators into one factor each
     return ProductForm(constant, (), (), q) * ProductForm(1.0, (), tuple(factors), q)
 
@@ -104,44 +116,43 @@ def kernel_sum_expr(terms, q: QParam) -> FunctionExpr:
     )
 
 
-def _default_grid(f: FunctionExpr, npts: int, rmin=2.0, rmax=50.0, seed=5):
-    """Sample points staying clear of the zero/pole lattices of f."""
+def _default_grid(f: FunctionExpr):
+    """The points of kernel_residual, clear of the zero/pole lattices of f."""
     events = []
     for _, form in f.terms:
-        events.extend(e.x for e in zero_pole_ledger(form, 4.0 * rmax))
-    rng = np.random.default_rng(seed)
+        events.extend(e.x for e in zero_pole_ledger(form, 4.0 * KERNEL_GRID_RMAX))
+    rng = np.random.default_rng(KERNEL_GRID_SEED)
+    lo, hi = math.log(KERNEL_GRID_RMIN), math.log(KERNEL_GRID_RMAX)
     pts = []
-    while len(pts) < npts:
-        r = math.exp(rng.uniform(math.log(rmin), math.log(rmax)))
+    while len(pts) < KERNEL_GRID_POINTS:
+        r = math.exp(rng.uniform(lo, hi))
         x = r * cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
         if all(abs(x - e) > 1e-3 * max(1.0, abs(e)) for e in events):
             pts.append(x)
     return pts
 
 
-def kernel_residual(f: FunctionExpr, grid=None, policy=DEFAULT_POLICY) -> float:
-    """Max over the grid of |D_q f| / max(1, |f|) (40 default points clear of the lattices)."""
+def kernel_residual(f: FunctionExpr) -> float:
+    """Max of |D_q f| / max(1, |f|) over the KERNEL_GRID_POINTS points clear of the lattices."""
     if isinstance(f, ProductForm):
         f = f.as_expr()
-    if grid is None:
-        grid = _default_grid(f, 40)
     worst = 0.0
-    for x in grid:
-        fx = evaluate(f, x, policy)
-        d = aw_diff(f, x, policy=policy)
+    for x in _default_grid(f):
+        fx = evaluate(f, x)
+        d = aw_diff(f, x)
         worst = max(worst, abs(d) / max(1.0, abs(fx)))
     return worst
 
 
-def kernel_member(f: FunctionExpr, grid=None, tol: float = 1e-8, policy=DEFAULT_POLICY) -> bool:
-    """True iff the divided difference of f vanishes (relatively) on the grid."""
-    return kernel_residual(f, grid, policy) < tol
+def kernel_member(f: FunctionExpr) -> bool:
+    """True iff the divided difference of f vanishes on the grid, within KERNEL_RTOL."""
+    return kernel_residual(f) < KERNEL_RTOL
 
 
 # --- solver ---------------------------------------------------------------------
 
 
-def _annulus_roots(f: FunctionExpr, q: QParam, policy):
+def _annulus_roots(f: FunctionExpr, q: QParam):
     """Zeros of f-breve in the annulus rho <= |z| < rho/|q|, with multiplicity.
 
     Searches the logarithmic rectangle in 64 sectors by nevanlinna._root_quadtree
@@ -157,9 +168,9 @@ def _annulus_roots(f: FunctionExpr, q: QParam, policy):
         ts = [t0 + 2.0 * math.pi * k / sectors for k in range(sectors + 1)]
         cells = [(complex(u0, lo), complex(u0 + L, hi)) for lo, hi in zip(ts, ts[1:])]
         try:
-            total = _rect_winding(f, 0, cells[0][0], cells[-1][1], 16 * sectors, np.exp, policy)
-            roots = _root_quadtree(f, 0, cells, KERNEL_EDGE_SAMPLES, np.exp, policy,
-                                   SMALL_BOX_RTOL * L, KERNEL_MIN_SIZE)
+            total = _rect_winding(f, 0, cells[0][0], cells[-1][1], 16 * sectors, np.exp)
+            roots = _root_quadtree(f, 0, cells, KERNEL_EDGE_SAMPLES, np.exp, SMALL_BOX_RTOL * L,
+                                   KERNEL_MIN_SIZE)
         except (PhaseJumpTooLarge, ContourTooClose):  # a zero on or near a cell edge
             continue
         if sum(c for _, c in roots) == total:  # else roots were lost in the search
@@ -177,7 +188,7 @@ def _same_class(z1: complex, z2: complex, q: QParam) -> bool:
     return False
 
 
-def kernel_solve(terms, q: QParam, policy=DEFAULT_POLICY) -> KernelSolution:
+def kernel_solve(terms, q: QParam) -> KernelSolution:
     """Represent a sum of kernel products as C * prod_i phi(x; c_i) phi(x; q/c_i).
 
     Locates the 2m zeros (with multiplicity) of the combination inside a
@@ -192,7 +203,7 @@ def kernel_solve(terms, q: QParam, policy=DEFAULT_POLICY) -> KernelSolution:
         c_gens = terms[0].generators
         C = terms[0].coefficient
     else:
-        roots, total = _annulus_roots(f, q, policy)
+        roots, total = _annulus_roots(f, q)
         if total != 2 * m:
             raise RootNotFound(
                 f"expected {2 * m} annulus zeros (two per class), found {total}"
@@ -209,13 +220,13 @@ def kernel_solve(terms, q: QParam, policy=DEFAULT_POLICY) -> KernelSolution:
         for z, mult, cnt in classes:
             if cnt % 2 != 0:
                 raise RootNotFound(f"class of {z} has odd zero count {cnt}")
-            z = _newton_polish(_value(f, 0, complex, policy), z, mult)[0]
+            z = _newton_polish(_value(f, 0, complex), z, mult)[0]
             c_gens.extend([z] * (cnt // 2))
         if len(c_gens) != m:
             raise RootNotFound(f"recovered {len(c_gens)} generators, expected {m}")
         probe = 3.0 * (q.abs_q + 1.0 / q.abs_q) / 2.0
         rhs_form = kernel_pair_form(c_gens, q)
-        C = evaluate(f, probe, policy) / evaluate(rhs_form, probe, policy)
+        C = evaluate(f, probe) / evaluate(rhs_form, probe)
     rhs = kernel_pair_form(c_gens, q, constant=C)
     rng = np.random.default_rng(11)
     worst = 0.0
@@ -223,8 +234,8 @@ def kernel_solve(terms, q: QParam, policy=DEFAULT_POLICY) -> KernelSolution:
     while checked < 60:
         r = math.exp(rng.uniform(math.log(1.5), math.log(40.0)))
         x = r * cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
-        lhs_v = evaluate(f, x, policy)
-        rhs_v = evaluate(rhs, x, policy)
+        lhs_v = evaluate(f, x)
+        rhs_v = evaluate(rhs, x)
         scale = max(abs(lhs_v), abs(rhs_v))
         if scale < 1e-12:
             continue
@@ -238,7 +249,7 @@ def kernel_solve(terms, q: QParam, policy=DEFAULT_POLICY) -> KernelSolution:
 # --- theta functions -------------------------------------------------------------
 
 
-def theta(j: int, w: complex, q: QParam, policy=DEFAULT_POLICY) -> complex:
+def theta(j: int, w: complex, q: QParam) -> complex:
     """Jacobi theta_j(w, q) from its q-infinite-product representation.
 
     theta4 = (q^2;q^2) (q e^(2iw), q e^(-2iw); q^2);
@@ -249,12 +260,12 @@ def theta(j: int, w: complex, q: QParam, policy=DEFAULT_POLICY) -> complex:
     w = complex(w)
     qq = q.q
     q2 = qq * qq
-    c = qpoch_infinite(q2, q2, policy)
+    c = qpoch_infinite(q2, q2)
     e2 = cmath.exp(2j * w)
     if j == 4:
-        return c * qpoch_infinite(qq * e2, q2, policy) * qpoch_infinite(qq / e2, q2, policy)
+        return c * qpoch_infinite(qq * e2, q2) * qpoch_infinite(qq / e2, q2)
     if j == 3:
-        return c * qpoch_infinite(-qq * e2, q2, policy) * qpoch_infinite(-qq / e2, q2, policy)
+        return c * qpoch_infinite(-qq * e2, q2) * qpoch_infinite(-qq / e2, q2)
     q14 = cmath.exp(cmath.log(qq) / 4.0)
     if j == 1:
         return (
@@ -262,16 +273,16 @@ def theta(j: int, w: complex, q: QParam, policy=DEFAULT_POLICY) -> complex:
             * q14
             * cmath.exp(1j * w)
             * c
-            * qpoch_infinite(q2 * e2, q2, policy)
-            * qpoch_infinite(1.0 / e2, q2, policy)
+            * qpoch_infinite(q2 * e2, q2)
+            * qpoch_infinite(1.0 / e2, q2)
         )
     if j == 2:
         return (
             q14
             * cmath.exp(1j * w)
             * c
-            * qpoch_infinite(-q2 * e2, q2, policy)
-            * qpoch_infinite(-1.0 / e2, q2, policy)
+            * qpoch_infinite(-q2 * e2, q2)
+            * qpoch_infinite(-1.0 / e2, q2)
         )
     raise InvalidParams("theta index j must be 1..4")
 
@@ -289,7 +300,7 @@ def _triple_product_series(z: complex, q: QParam) -> complex:
             raise VerificationFailed("triple-product series did not converge")
 
 
-def verify_identity(identity: str, q: QParam, samples, policy=DEFAULT_POLICY) -> float:
+def verify_identity(identity: str, q: QParam, samples) -> float:
     """Max relative residual of a classical identity over the samples.
 
     identity = 'TripleProduct' (samples are z values), 'SquareSum'
@@ -298,19 +309,19 @@ def verify_identity(identity: str, q: QParam, samples, policy=DEFAULT_POLICY) ->
     worst = 0.0
     if identity == "TripleProduct":
         s = q.sqrt_q
-        c = qpoch_infinite(q.q, q, policy)
+        c = qpoch_infinite(q.q, q)
         for z in samples:
             z = complex(z)
-            lhs = c * qpoch_infinite(s * z, q, policy) * qpoch_infinite(s / z, q, policy)
+            lhs = c * qpoch_infinite(s * z, q) * qpoch_infinite(s / z, q)
             rhs = _triple_product_series(z, q)
             worst = max(worst, abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300))
         return worst
     if identity == "SquareSum":
-        t20, t30, t40 = (theta(j, 0.0, q, policy) for j in (2, 3, 4))
+        t20, t30, t40 = (theta(j, 0.0, q) for j in (2, 3, 4))
         for z in samples:
             z = complex(z)
-            lhs = theta(4, z, q, policy) ** 2 * t40**2 + theta(2, z, q, policy) ** 2 * t20**2
-            rhs = theta(3, z, q, policy) ** 2 * t30**2
+            lhs = theta(4, z, q) ** 2 * t40**2 + theta(2, z, q) ** 2 * t20**2
+            rhs = theta(3, z, q) ** 2 * t30**2
             worst = max(worst, abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300))
         return worst
     if identity == "Addition":
@@ -318,13 +329,13 @@ def verify_identity(identity: str, q: QParam, samples, policy=DEFAULT_POLICY) ->
         #                   = theta3(y)^2 theta3(z)^2 + theta1(y)^2 theta1(z)^2
         # (the theta3(0)^2 normalization is forced: the two sides agree at
         # z = y = 0 only with it, and the residual check below confirms it)
-        t30 = theta(3, 0.0, q, policy)
+        t30 = theta(3, 0.0, q)
         for z, y in samples:
             z, y = complex(z), complex(y)
-            lhs = theta(3, z + y, q, policy) * theta(3, z - y, q, policy) * t30**2
+            lhs = theta(3, z + y, q) * theta(3, z - y, q) * t30**2
             rhs = (
-                theta(3, y, q, policy) ** 2 * theta(3, z, q, policy) ** 2
-                + theta(1, y, q, policy) ** 2 * theta(1, z, q, policy) ** 2
+                theta(3, y, q) ** 2 * theta(3, z, q) ** 2
+                + theta(1, y, q) ** 2 * theta(1, z, q) ** 2
             )
             worst = max(worst, abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300))
         return worst

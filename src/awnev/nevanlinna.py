@@ -33,7 +33,7 @@ from .funcrep import (
     merged_ledger,
     zero_pole_ledger,
 )
-from .qcore import DEFAULT_POLICY, lift_to_z, lift_to_z_array
+from .qcore import lift_to_z, lift_to_z_array
 
 __all__ = [
     "CharRecord",
@@ -64,6 +64,10 @@ ORIGIN_MODULUS = 1e-12
 UNIT_DISK_MARGIN = 1e-12
 ORDER_RADIUS = 1e-5
 ORDER_RESIDUE_TOL = 0.2
+# highest vanishing order _vanishing_order reports: on the probe circle |G|
+# is about ORDER_RADIUS^k, at the double underflow for k near 64
+# (1e-5^64 = 1e-320), so no larger order can be measured there
+MAX_VANISHING_ORDER = 64
 # argument_principle_count refuses a circle with an event modulus within this
 # share of r: the phase of f - a turns by about pi over an arc that short,
 # some 14 bisections below the spacing of 512 nodes
@@ -95,10 +99,12 @@ KERNEL_EDGE_SAMPLES = 12
 # the point for Newton to be worth the evaluations), and a small box with
 # several whose quarters cannot be counted is reported as a cluster
 SMALL_BOX_RTOL = 0.05
-# a Newton point is kept when its last step is below NEWTON_STEP_RTOL and
-# |f - a| below NEWTON_RESIDUAL_RTOL, each relative to max(1, |.|); steps
-# shrink quadratically at a simple a-point, so a converged iteration ends far
-# below the first and a wandering one far above it
+# a Newton point p is kept when its last step is below
+# tol_p = NEWTON_STEP_RTOL max(1, |p|) and |f - a| below
+# NEWTON_RESIDUAL_RTOL max(1, |a|) + |f'| tol_p, so that by the linear model a
+# root lies within tol_p; steps shrink quadratically at a simple a-point, so
+# a converged iteration ends far below the first and a wandering one far above
+# it, and the slope term admits the roundoff of steep f (|f'| ulp(p) there)
 NEWTON_STEP_RTOL = 1e-9
 NEWTON_RESIDUAL_RTOL = 1e-9
 # relative roundoff of a value of f (a sum of up to a few thousand factor
@@ -106,6 +112,10 @@ NEWTON_RESIDUAL_RTOL = 1e-9
 # by less than the step tolerance, which a multiple a-point fails: there
 # f - a reads exactly 0 well before the point, and the iteration stops
 F_ROUNDOFF_RTOL = 1e-13
+# radius_grid keeps radii d / log^EXCEPTIONAL_LOG_POWER(d + 3) off each event
+# modulus d: neighbourhoods that shrink relative to d, like the exceptional
+# sets outside which the slow-growth estimates hold
+EXCEPTIONAL_LOG_POWER = 2.0
 
 
 @dataclass(frozen=True)
@@ -162,7 +172,7 @@ def _accumulate(r: float, pairs):
 # --- proximity / characteristic ------------------------------------------------
 
 
-def proximity(f, r: float, quad: int = 512, policy=DEFAULT_POLICY) -> float:
+def proximity(f, r: float, quad: int = 512) -> float:
     """m(r, f) = (1/2pi) integral of log+ |f(r e^(i theta))| d theta.
 
     Trapezoid on the uniform grid plus geometric node clusters around the
@@ -193,7 +203,7 @@ def proximity(f, r: float, quad: int = 512, policy=DEFAULT_POLICY) -> float:
         thetas = np.unique(np.concatenate([thetas, extra]))
     x = r * np.exp(1j * thetas)
     z = lift_to_z_array(x)
-    y = np.maximum(log_abs_many(f, z, policy), 0.0)
+    y = np.maximum(log_abs_many(f, z), 0.0)
     y = np.where(np.isfinite(y), y, 0.0)
     # periodic trapezoid on a nonuniform grid
     th = np.concatenate([thetas, [thetas[0] + 2.0 * math.pi]])
@@ -214,15 +224,15 @@ def counting(f, r: float, target: str = "Pole"):
     return _accumulate(r, ((ev.modulus, abs(ev.multiplicity)) for ev in events))
 
 
-def characteristic(f, r: float, quad: int = 512, policy=DEFAULT_POLICY) -> CharRecord:
+def characteristic(f, r: float, quad: int = 512) -> CharRecord:
     """T(r, f) = m(r, f) + N(r, f) assembled from quadrature and the ledger."""
     f = _as_expr(f)
-    m = proximity(f, r, quad, policy)
+    m = proximity(f, r, quad)
     n, N = counting(f, r, "Pole")
     return CharRecord(r=float(r), m=m, n_count=n, N=N, T=m + N)
 
 
-def log_order(f, r_grid, quad: int = 512, policy=DEFAULT_POLICY) -> float:
+def log_order(f, r_grid, quad: int = 512) -> float:
     """Logarithmic order: the log log r exponent of T(r) fitted over the grid.
 
     The model log T = sigma * log(log r) + c + d / log r includes the leading
@@ -237,7 +247,7 @@ def log_order(f, r_grid, quad: int = 512, policy=DEFAULT_POLICY) -> float:
     f = _as_expr(f)
     us, ls = [], []
     for r in r_grid:
-        T = characteristic(f, r, quad, policy).T
+        T = characteristic(f, r, quad).T
         if T > 0:
             us.append(math.log(r))
             ls.append(math.log(T))
@@ -253,7 +263,7 @@ def log_order(f, r_grid, quad: int = 512, policy=DEFAULT_POLICY) -> float:
 # --- reduced (lattice-aware) counting ------------------------------------------
 
 
-def _vanishing_order(G, x0: complex, max_order: int = 64) -> int:
+def _vanishing_order(G, x0: complex) -> int:
     """Numeric vanishing order of G at x0 by two-radius log-modulus regression."""
     scale = max(1.0, abs(x0))
     rho1 = ORDER_RADIUS * scale
@@ -273,12 +283,12 @@ def _vanishing_order(G, x0: complex, max_order: int = 64) -> int:
 
     k = (mean_log(rho2) - mean_log(rho1)) / math.log(2.0)
     kr = round(k)
-    if abs(k - kr) > ORDER_RESIDUE_TOL or kr > max_order:
+    if abs(k - kr) > ORDER_RESIDUE_TOL or kr > MAX_VANISHING_ORDER:
         raise AmbiguousOrder(f"non-integer vanishing order {k:.3f} at {x0}")
     return max(int(kr), 0)
 
 
-def _reduced_counts(f: FunctionExpr, a, r: float, policy):
+def _reduced_counts(f: FunctionExpr, a, r: float):
     """((n, N), (n_aw, N_aw)) of the a-points of f in |x| < r, from one walk.
 
     a = 0 and a = math.inf walk the exact ledger of zeros or poles; any
@@ -291,7 +301,7 @@ def _reduced_counts(f: FunctionExpr, a, r: float, policy):
     point (of D_q (1/f) for a pole).
     """
     q = f.q
-    g0 = as_breve(f, policy)
+    g0 = as_breve(f)
     g = g0 if a != math.inf else (lambda z: 1.0 / g0(z))
     dg = dq_breve(g, q)
 
@@ -301,7 +311,7 @@ def _reduced_counts(f: FunctionExpr, a, r: float, policy):
     if a != 0 and a != math.inf:
         pts = [
             (abs(x0), h, h - min(h, kprime_at(x0)))
-            for x0, h in apoint_events(f, complex(a), r, policy)
+            for x0, h in apoint_events(f, complex(a), r)
         ]
     else:
         # the neighbour may sit just outside |x| = r; enumerate a wider window
@@ -327,19 +337,17 @@ def _reduced_counts(f: FunctionExpr, a, r: float, policy):
     )
 
 
-def aw_counting(f, r: float, target: str = "Zero", policy=DEFAULT_POLICY) -> AWCountRecord:
+def aw_counting(f, r: float, target: str = "Zero") -> AWCountRecord:
     """Reduced counting of zeros or poles with the q-shifted-neighbour discount."""
     if r <= 0:
         raise InvalidParams("r must be positive")
     if target not in ("Zero", "Pole"):
         raise InvalidParams("target must be 'Zero' or 'Pole'")
-    (n, _), (n_aw, N_aw) = _reduced_counts(
-        _as_expr(f), 0 if target == "Zero" else math.inf, r, policy
-    )
+    (n, _), (n_aw, N_aw) = _reduced_counts(_as_expr(f), 0 if target == "Zero" else math.inf, r)
     return AWCountRecord(r=float(r), n_aw=n_aw, N_aw=N_aw, classical_n=n)
 
 
-def aw_counting_at(f, a, r: float, policy=DEFAULT_POLICY) -> AWCountRecord:
+def aw_counting_at(f, a, r: float) -> AWCountRecord:
     """Reduced counting at a general target value a (or math.inf for poles).
 
     Values 0 and infinity use the exact ledger; other targets are located
@@ -347,8 +355,8 @@ def aw_counting_at(f, a, r: float, policy=DEFAULT_POLICY) -> AWCountRecord:
     vanishing-order detection of the divided difference at the hatted point.
     """
     if a == 0 or a == math.inf:
-        return aw_counting(f, r, "Zero" if a == 0 else "Pole", policy)
-    (n, _), (n_aw, N_aw) = _reduced_counts(_as_expr(f), a, r, policy)
+        return aw_counting(f, r, "Zero" if a == 0 else "Pole")
+    (n, _), (n_aw, N_aw) = _reduced_counts(_as_expr(f), a, r)
     return AWCountRecord(r=float(r), n_aw=n_aw, N_aw=N_aw, classical_n=n)
 
 
@@ -379,7 +387,7 @@ def _limit_estimate(rs, ys) -> float:
     return float(intercept)
 
 
-def deficiencies(f, r_grid, values, quad: int = 512, policy=DEFAULT_POLICY):
+def deficiencies(f, r_grid, values, quad: int = 512):
     """Deficiency estimates per value plus the defect sum.
 
     delta = 1 - lim N/T, vartheta = lim (N - N_red)/T and
@@ -392,12 +400,12 @@ def deficiencies(f, r_grid, values, quad: int = 512, policy=DEFAULT_POLICY):
     r_grid = sorted(float(r) for r in r_grid)
     if len(r_grid) < 3 or r_grid[-1] / r_grid[0] < 1e3:
         raise GridTooSmall("need >= 3 radii spanning >= 3 decades")
-    T = {r: characteristic(f, r, quad, policy).T for r in r_grid}
+    T = {r: characteristic(f, r, quad).T for r in r_grid}
     reports = []
     for a in values:
         rs, ratios_N, ratios_red, ratios_diff = [], [], [], []
         for r in r_grid:
-            (_, N), (_, N_aw) = _reduced_counts(f, a, r, policy)
+            (_, N), (_, N_aw) = _reduced_counts(f, a, r)
             t = T[r]
             if t <= 0:
                 continue
@@ -424,13 +432,13 @@ def deficiencies(f, r_grid, values, quad: int = 512, policy=DEFAULT_POLICY):
 # --- argument principle ---------------------------------------------------------
 
 
-def _phases(f, a, z, policy):
+def _phases(f, a, z):
     """arg(f - a) at the z-plane points z (an array), up to multiples of 2 pi.
 
     Where |f| dwarfs |a| (log|f| > 40, and everywhere when a = 0) this is
     Im log f, so no value of f that could overflow is ever formed.
     """
-    lg = np.asarray(f.breve_log(z, policy))
+    lg = np.asarray(f.breve_log(z))
     dominant = (lg.real > 40.0) | (a == 0)
     w = np.exp(np.where(dominant, 0.0, lg)) - a
     if np.any(np.where(dominant, lg.real == -math.inf, w == 0)):
@@ -438,7 +446,7 @@ def _phases(f, a, z, policy):
     return np.where(dominant, lg.imag, np.angle(w))
 
 
-def _phase_walk(f, a, params, to_z, policy) -> float:
+def _phase_walk(f, a, params, to_z) -> float:
     """Total change of arg(f - a) along the polyline through ``params``.
 
     The points lie in a parameter plane that ``to_z`` maps (vectorised) to
@@ -449,7 +457,7 @@ def _phase_walk(f, a, params, to_z, policy) -> float:
     goes unseen, so the caller's sampling has to be fine enough.
     """
     p = np.asarray(params, dtype=complex)
-    ph = _phases(f, a, to_z(p), policy)
+    ph = _phases(f, a, to_z(p))
     p0, p1, ph0, ph1 = p[:-1], p[1:], ph[:-1], ph[1:]
     total = 0.0
     for depth in itertools.count():
@@ -462,7 +470,7 @@ def _phase_walk(f, a, params, to_z, policy) -> float:
             raise PhaseJumpTooLarge("phase refinement exhausted")
         p0, p1, ph0, ph1 = p0[big], p1[big], ph0[big], ph1[big]
         mid = 0.5 * (p0 + p1)
-        phm = _phases(f, a, to_z(mid), policy)
+        phm = _phases(f, a, to_z(mid))
         p0, p1 = np.concatenate([p0, mid]), np.concatenate([mid, p1])
         ph0, ph1 = np.concatenate([ph0, phm]), np.concatenate([phm, ph1])
 
@@ -474,7 +482,7 @@ def _integer_winding(total: float) -> int:
     return int(round(w))
 
 
-def _rect_winding(f, a, p0, p1, per_edge, to_z, policy) -> int:
+def _rect_winding(f, a, p0, p1, per_edge, to_z) -> int:
     """Winding of f - a around the image under ``to_z`` of a rectangle.
 
     The rectangle of the parameter plane has lower left corner p0 and upper
@@ -484,12 +492,10 @@ def _rect_winding(f, a, p0, p1, per_edge, to_z, policy) -> int:
     corners = np.array([p0, complex(p1.real, p0.imag), p1, complex(p0.real, p1.imag), p0])
     t = np.linspace(0.0, 1.0, per_edge)[:-1]
     edges = corners[:-1, None] + (corners[1:] - corners[:-1])[:, None] * t
-    return _integer_winding(_phase_walk(f, a, np.append(edges.ravel(), p0), to_z, policy))
+    return _integer_winding(_phase_walk(f, a, np.append(edges.ravel(), p0), to_z))
 
 
-def argument_principle_count(
-    f, a: complex, r: float, nodes: int = 512, policy=DEFAULT_POLICY
-) -> int:
+def argument_principle_count(f, a: complex, r: float, nodes: int = 512) -> int:
     """Winding number of f - a along |x| = r: zeros minus poles inside.
 
     The circle gets ``nodes`` samples, or NODES_PER_EVENT per zero and pole
@@ -506,7 +512,7 @@ def argument_principle_count(
     inside = sum(abs(ev.multiplicity) for ev in events if ev.modulus < r)
     nodes = max(nodes, NODES_PER_EVENT * inside)
     pts = r * np.exp(1j * np.linspace(0.0, 2.0 * math.pi, nodes + 1))
-    return _integer_winding(_phase_walk(f, complex(a), pts, lift_to_z_array, policy))
+    return _integer_winding(_phase_walk(f, complex(a), pts, lift_to_z_array))
 
 
 def _newton_polish(val, z: complex, mult: int, floor: float = 0.0):
@@ -536,24 +542,25 @@ def _newton_polish(val, z: complex, mult: int, floor: float = 0.0):
     return best, last
 
 
-def _value(f, a, to_z, policy):
+def _value(f, a, to_z):
     """The scalar function p -> f(to_z(p)) - a, which reads -a at a zero of f."""
 
     def val(p):
-        lg = f.breve_log(complex(to_z(p)), policy)
+        lg = f.breve_log(complex(to_z(p)))
         return cmath.exp(lg) - a if lg.real != -math.inf else -a
 
     return val
 
 
-def _polish_root(f, a, p0, p1, to_z, policy):
+def _polish_root(f, a, p0, p1, to_z):
     """The single root of f - a in the cell [p0, p1] by Newton from its centre, or None.
 
-    Kept when Newton converged (NEWTON_STEP_RTOL, NEWTON_RESIDUAL_RTOL), the
-    root is simple enough for roundoff in f to move it less (F_ROUNDOFF_RTOL)
-    and it lies in the cell: then it is accurate to that roundoff over |f'|.
+    Kept when Newton converged, to within its step of a root of the linear
+    model (NEWTON_STEP_RTOL, NEWTON_RESIDUAL_RTOL), the root is simple enough
+    for roundoff in f to move it less (F_ROUNDOFF_RTOL) and it lies in the
+    cell: then it is accurate to that roundoff over |f'|.
     """
-    val = _value(f, a, to_z, policy)
+    val = _value(f, a, to_z)
     try:
         p, step = _newton_polish(val, 0.5 * (p0 + p1), 1, floor=1.0)
         h = 1e-6 * max(abs(p), 1.0)
@@ -566,7 +573,7 @@ def _polish_root(f, a, p0, p1, to_z, policy):
     # written so that a NaN fails every test
     if not (
         step <= tol_p
-        and residual <= NEWTON_RESIDUAL_RTOL * tol_f
+        and residual <= NEWTON_RESIDUAL_RTOL * tol_f + slope * tol_p
         and F_ROUNDOFF_RTOL * tol_f <= slope * tol_p
         and p0.real <= p.real <= p1.real
         and p0.imag <= p.imag <= p1.imag
@@ -575,7 +582,7 @@ def _polish_root(f, a, p0, p1, to_z, policy):
     return p
 
 
-def _root_quadtree(f, a, cells, per_edge, to_z, policy, small, min_size, poles=()):
+def _root_quadtree(f, a, cells, per_edge, to_z, small, min_size, poles=()):
     """(location, multiplicity) of the roots of f - a in parameter-plane cells.
 
     ``to_z`` maps the plane to z.  A cell (p0, p1) counts the winding of f - a
@@ -590,7 +597,7 @@ def _root_quadtree(f, a, cells, per_edge, to_z, policy, small, min_size, poles=(
 
     def count(p0, p1):
         try:
-            w = _rect_winding(f, a, p0, p1, per_edge, to_z, policy)
+            w = _rect_winding(f, a, p0, p1, per_edge, to_z)
         except (ContourTooClose, PhaseJumpTooLarge):
             return None
         return w + sum(
@@ -613,7 +620,7 @@ def _root_quadtree(f, a, cells, per_edge, to_z, policy, small, min_size, poles=(
             found.append((c, n))
             continue
         if n == 1 and size < small:
-            p = _polish_root(f, a, p0, p1, to_z, policy)
+            p = _polish_root(f, a, p0, p1, to_z)
             if p is not None:
                 found.append((p, 1))
                 continue
@@ -630,7 +637,7 @@ def _root_quadtree(f, a, cells, per_edge, to_z, policy, small, min_size, poles=(
     return found
 
 
-def apoint_events(f, a: complex, r: float, policy=DEFAULT_POLICY):
+def apoint_events(f, a: complex, r: float):
     """Locate a-points of f in |x| < r, as (location, multiplicity) sorted by modulus.
 
     _root_quadtree searches one box around the disc, with the exact pole
@@ -644,15 +651,15 @@ def apoint_events(f, a: complex, r: float, policy=DEFAULT_POLICY):
     # slightly irrational offset so lattice points never sit on box edges
     eps = r * 1e-4 * (1.0 + math.pi / 1e3)
     box = (complex(-r - eps, -r - eps), complex(r + eps * 1.3, r + eps * 1.3))
-    found = _root_quadtree(f, a, [box], BOX_EDGE_SAMPLES, lift_to_z_array, policy,
-                           SMALL_BOX_RTOL * r, APOINT_MIN_SIZE, poles)
+    found = _root_quadtree(f, a, [box], BOX_EDGE_SAMPLES, lift_to_z_array, SMALL_BOX_RTOL * r,
+                           APOINT_MIN_SIZE, poles)
     return sorted(((x, h) for x, h in found if abs(x) < r), key=lambda p: abs(p[0]))
 
 
 # --- checkers -------------------------------------------------------------------
 
 
-def second_main_check(f, values, r_grid, quad: int = 512, policy=DEFAULT_POLICY):
+def second_main_check(f, values, r_grid, quad: int = 512):
     """Rows (r, LHS, RHS_counting, LHS - RHS_counting) of the main inequality.
 
     LHS = (p - 1) T(r, f); RHS_counting = reduced N at infinity plus the
@@ -666,21 +673,21 @@ def second_main_check(f, values, r_grid, quad: int = 512, policy=DEFAULT_POLICY)
         raise InvalidParams("need at least two distinct target values")
     # refuse functions annihilated by the divided difference
     probe = [2.7, 3.9 + 1.1j, -4.3 + 0.6j, 6.1]
-    if all(abs(aw_diff(f, x, policy=policy)) < 1e-12 for x in probe):
+    if all(abs(aw_diff(f, x)) < 1e-12 for x in probe):
         raise InvalidParams("divided difference of f vanishes identically")
     rows = []
     p = len(values)
     for r in sorted(float(r) for r in r_grid):
-        T = characteristic(f, r, quad, policy).T
-        rhs = aw_counting(f, r, "Pole", policy).N_aw
+        T = characteristic(f, r, quad).T
+        rhs = aw_counting(f, r, "Pole").N_aw
         for a in values:
-            rhs += aw_counting_at(f, a, r, policy).N_aw
+            rhs += aw_counting_at(f, a, r).N_aw
         lhs = (p - 1) * T
         rows.append((r, lhs, rhs, lhs - rhs))
     return rows
 
 
-def share_check(f, g, a, r_grid, policy=DEFAULT_POLICY):
+def share_check(f, g, a, r_grid):
     """Compare reduced integrated counts of f and g at the value a.
 
     Returns (rows, verdict) where rows are (r, N_red_f, N_red_g, diff) and
@@ -691,8 +698,8 @@ def share_check(f, g, a, r_grid, policy=DEFAULT_POLICY):
     r_grid = sorted(float(r) for r in r_grid)
     rows = []
     for r in r_grid:
-        nf = aw_counting_at(f, a, r, policy).N_aw
-        ng = aw_counting_at(g, a, r, policy).N_aw
+        nf = aw_counting_at(f, a, r).N_aw
+        ng = aw_counting_at(g, a, r).N_aw
         rows.append((r, nf, ng, nf - ng))
     lo = [abs(d) / math.log(r) for r, _, _, d in rows if r <= r_grid[0] * 10.0]
     hi = [abs(d) / math.log(r) for r, _, _, d in rows if r >= r_grid[-1] / 10.0]
@@ -700,8 +707,8 @@ def share_check(f, g, a, r_grid, policy=DEFAULT_POLICY):
     return rows, verdict
 
 
-def radius_grid(f, rmin: float, rmax: float, points: int, sigma: float = 2.0):
-    """Log-spaced radii nudged off every event modulus d by d / log^sigma(d+3).
+def radius_grid(f, rmin: float, rmax: float, points: int):
+    """Log-spaced radii nudged off every event modulus d by d / log^EXCEPTIONAL_LOG_POWER(d+3).
 
     Mirrors the construction of exceptional-set avoidance: estimates in the
     slow-growth theory hold outside shrinking neighbourhoods of the lattice
@@ -720,7 +727,7 @@ def radius_grid(f, rmin: float, rmax: float, points: int, sigma: float = 2.0):
         for _ in range(100):
             clash = None
             for d in moduli:
-                margin = d / math.log(d + 3.0) ** sigma
+                margin = d / math.log(d + 3.0) ** EXCEPTIONAL_LOG_POWER
                 if abs(r - d) < margin:
                     clash = (d, margin)
                     break

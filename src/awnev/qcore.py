@@ -18,8 +18,8 @@ from .errors import DegenerateGenerator, InvalidParams, TruncationExceeded
 
 __all__ = [
     "QParam",
-    "TruncationPolicy",
-    "DEFAULT_POLICY",
+    "ABS_TOL",
+    "MAX_TERMS",
     "qpoch_finite",
     "qpoch_infinite",
     "log_qpoch_infinite",
@@ -52,21 +52,14 @@ class QParam:
         object.__setattr__(self, "abs_q", aq)
 
 
-@dataclass(frozen=True)
-class TruncationPolicy:
-    """Absolute log-error tolerance and a hard cap on product terms."""
-
-    abs_tol: float = 1e-14
-    max_terms: int = 10**6
-
-    def __post_init__(self):
-        if self.abs_tol <= 0:
-            raise InvalidParams("abs_tol must be positive")
-        if self.max_terms < 1:
-            raise InvalidParams("max_terms must be >= 1")
-
-
-DEFAULT_POLICY = TruncationPolicy()
+# bound on the dropped tail of log (a; q)_inf: about the roundoff of the few
+# dozen factor logs summed at |q| <= 1/2, so the tail never dominates it
+ABS_TOL = 1e-14
+# most factors of one truncated product: the tail bound needs about
+# log(ABS_TOL (1 - |q|) / 2) / log|q| of them, 1e6 at |q| = 1 - 4e-5; a |q|
+# closer to 1 raises TruncationExceeded at once rather than summing millions
+# of factor logs whose roundoff, growing with their number, dwarfs ABS_TOL
+MAX_TERMS = 10**6
 
 
 def _as_q(q) -> complex:
@@ -91,8 +84,8 @@ def qpoch_finite(a: complex, q, n: int) -> complex:
 _BLOCK_ELEMS = 4096
 
 
-def _truncation_index(abs_a: float, abs_q: float, policy: TruncationPolicy) -> int:
-    """Smallest N with tail bound sum_{k>N} |a||q|^{k-1}/(1-|a||q|^{k-1}) <= tol.
+def _truncation_index(abs_a: float, abs_q: float) -> int:
+    """Smallest N with tail bound sum_{k>N} |a||q|^{k-1}/(1-|a||q|^{k-1}) <= ABS_TOL.
 
     The bound requires |a||q|^N <= 1/2 so that the geometric estimate
     t/(1-t) <= 2t applies; below that the tail is <= 2|a||q|^N/(1-|q|).
@@ -104,26 +97,26 @@ def _truncation_index(abs_a: float, abs_q: float, policy: TruncationPolicy) -> i
         n0 = int(math.ceil(math.log(0.5 / abs_a) / math.log(abs_q)))
     else:
         n0 = 0
-    target = policy.abs_tol * (1.0 - abs_q) / (2.0 * abs_a)
+    target = ABS_TOL * (1.0 - abs_q) / (2.0 * abs_a)
     if target >= 1.0:
         n1 = 0
     else:
         n1 = int(math.ceil(math.log(target) / math.log(abs_q)))
     n = max(n0, n1, 0)
-    if n > policy.max_terms:
+    if n > MAX_TERMS:
         raise TruncationExceeded(
-            f"{n} terms needed for tail bound {policy.abs_tol}, cap {policy.max_terms}"
+            f"{n} terms needed for tail bound {ABS_TOL}, cap {MAX_TERMS}"
         )
     return n
 
 
-def log_qpoch_infinite(a, q, policy: TruncationPolicy = DEFAULT_POLICY):
-    """log (a; q)_infinity, truncated after a tail of at most policy.abs_tol.
+def log_qpoch_infinite(a, q):
+    """log (a; q)_infinity, truncated after a tail of at most ABS_TOL.
 
     ``a`` may be a complex scalar or a numpy array (vectorized over a).
     Returns the sum of the principal-branch logs of the factors
     1 - a q^k, k < N, with N from the tail bound of the largest |a|.
-    ``abs_tol`` bounds the truncation only: the summed roundoff of the N
+    ``ABS_TOL`` bounds the truncation only: the summed roundoff of the N
     factor logs comes on top of it and grows with N (about 7e-13 on the
     scalar path at a = -0.8+0.3j, q = 0.99, ~3500 factors).  The
     imaginary part is the per-factor principal-value sum (not reduced
@@ -140,7 +133,7 @@ def log_qpoch_infinite(a, q, policy: TruncationPolicy = DEFAULT_POLICY):
     a_arr = np.asarray(a, dtype=complex)
     if a_arr.ndim == 0:
         f = complex(a_arr)
-        n = _truncation_index(abs(f), abs(qq), policy)
+        n = _truncation_index(abs(f), abs(qq))
         log = cmath.log
         out = 0j
         try:
@@ -153,7 +146,7 @@ def log_qpoch_infinite(a, q, policy: TruncationPolicy = DEFAULT_POLICY):
             return complex(-math.inf, 0.0)
         return out
     abs_a = float(np.abs(a_arr).max()) if a_arr.size else 0.0
-    n = _truncation_index(abs_a, abs(qq), policy)
+    n = _truncation_index(abs_a, abs(qq))
     flat = a_arr.reshape(-1)
     out = np.zeros(flat.shape, dtype=complex)
     if n == 0:  # also every empty array
@@ -175,9 +168,9 @@ def log_qpoch_infinite(a, q, policy: TruncationPolicy = DEFAULT_POLICY):
     return out.reshape(a_arr.shape)
 
 
-def qpoch_infinite(a: complex, q, policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
+def qpoch_infinite(a: complex, q) -> complex:
     """Infinite q-shifted factorial (a; q)_infinity for |q| < 1."""
-    lg = log_qpoch_infinite(a, q, policy)
+    lg = log_qpoch_infinite(a, q)
     if isinstance(lg, np.ndarray):
         return np.exp(lg)
     if lg.real == -math.inf:

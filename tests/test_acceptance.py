@@ -197,14 +197,13 @@ def test_criterion_08_kernel_solver():
     rng = np.random.default_rng(8)
     worst = 0.0
     from awnev.kernel import kernel_member, kernel_residual
-    from awnev.qcore import DEFAULT_POLICY
 
     members = True
     for _ in range(10):
         a = complex(rng.uniform(0.2, 0.9), rng.uniform(-0.3, 0.3))
         b = complex(rng.uniform(0.2, 0.9), rng.uniform(-0.3, 0.3))
         f = make_fab(a, b, q).as_expr()
-        res = kernel_residual(f, policy=DEFAULT_POLICY)
+        res = kernel_residual(f)
         worst = max(worst, res)
         members = members and kernel_member(f)
     # round trip: split a known (b, C) right-hand side into two same-class

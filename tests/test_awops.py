@@ -99,6 +99,19 @@ def test_branch_point_limit():
     assert aw_diff(f, -1.0, q) == pytest.approx(-2.0 * x1, rel=1e-6)
 
 
+@pytest.mark.parametrize("q", [0.5, 0.9, 0.3 + 0.4j])
+def test_branch_point_window(q):
+    # D_q x^2 = (s + 1/s) x exactly; at and next to the branch points, where
+    # the divided difference is 0/0 or cancels, both entry points must agree
+    # with it
+    q = QParam(q)
+    f = lambda x: x**2
+    for x in (1.0, -1.0, 1.0 + 2.2e-16, 1.0 + 1e-14, 1.0 + 1e-10, -1.0 - 1e-13):
+        want = (q.sqrt_q + 1.0 / q.sqrt_q) * x
+        for got in (aw_diff(f, x, q), aw_diff_iterate(f, 1, x, q)):
+            assert abs(got - want) <= 2e-9 * abs(want)
+
+
 def test_iterate_degree_reduction():
     q = Q5
     # D_q reduces polynomial degree by one; degree d, k = d+1 gives 0

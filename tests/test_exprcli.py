@@ -227,6 +227,26 @@ def test_cli_numeric_failure_exit_3(capsys):
     assert rc == 3
 
 
+def test_cli_term_cap_exit_3(capsys):
+    # at q = 0.999999 the tail bound needs ~4.7e7 factors, past the cap
+    rc = main(["eval", "--q", "0.999999", "--expr", "pinf(0.5)", "--x", "2"])
+    assert rc == 3
+    assert "numeric failure" in capsys.readouterr().err
+
+
+def test_cli_tol_only_where_read(capsys):
+    # --tol belongs to kernel-check, theta-verify and awpoly; elsewhere it is
+    # a usage error rather than an option that is silently ignored
+    with pytest.raises(SystemExit) as exc:
+        main(["char", "--q", "0.5", "--expr", "pinf(0.5)", "--rmin", "10", "--rmax", "1000",
+              "--points", "3", "--tol", "1e-3"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    expr = "pinf(0.4)*pinf(0.75)/(pinf(0.5)*pinf(0.6))"
+    assert main(["kernel-check", "--q", "0.3", "--expr", expr, "--tol", "1e-30"]) == 3
+    capsys.readouterr()
+
+
 def test_cli_precondition_exit_4(capsys):
     rc = main(
         ["deficiency", "--q", "0.5", "--expr", "pinf(0.4)", "--value", "0",

@@ -20,7 +20,7 @@ from awnev.kernel import (
     theta,
     verify_identity,
 )
-from awnev.qcore import DEFAULT_POLICY, QParam, qpoch_infinite
+from awnev.qcore import QParam, qpoch_infinite
 
 
 def test_make_fab_is_kernel_member():
@@ -81,7 +81,7 @@ def test_kernel_solve_newton_stop(monkeypatch):
     # it, instead of being bisected down to the cell floor
     q = QParam(0.35)
     terms = [KernelTermSpec(1.3, (0.8 + 0.3j,)), KernelTermSpec(0.7 - 0.2j, (-0.6,))]
-    roots, total = kernel._annulus_roots(kernel_sum_expr(terms, q), q, DEFAULT_POLICY)
+    roots, total = kernel._annulus_roots(kernel_sum_expr(terms, q), q)
     assert total == 2 and [h for _, h in roots] == [1, 1]
     accepted = []
     polish = nevanlinna._polish_root

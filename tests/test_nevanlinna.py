@@ -183,9 +183,9 @@ def test_phase_walk_evaluates_each_level_in_one_call(monkeypatch):
     calls = []
     breve_log = FunctionExpr.breve_log
 
-    def spy(self, z, policy):
+    def spy(self, z):
         calls.append(len(z))
-        return breve_log(self, z, policy)
+        return breve_log(self, z)
 
     monkeypatch.setattr(FunctionExpr, "breve_log", spy)
     assert argument_principle_count(f, 0.0, 1.0, nodes=16) == 2
@@ -324,6 +324,28 @@ def test_apoint_events_newton_fallback(monkeypatch):
     assert sum(h for _, h in pts) == argument_principle_count(f, a, r) == 2
     got = sorted((x for x, _ in pts), key=lambda x: x.imag)
     assert abs(got[0] - p1) <= 1e-12 and abs(got[1] - p2) <= 1e-12
+
+
+def test_apoint_events_newton_keeps_steep_points(monkeypatch):
+    # phi(x; 0.6) at q = 0.6 is steep at its far a-points (|f'| ~ 5e15 at
+    # |x| ~ 640), where |f - a| at a converged Newton point is a few |f'| ulp(x)
+    # (~1e3), far above an absolute residual bound: Newton must keep each one
+    q = QParam(0.6)
+    f = FunctionExpr(((1.0, single(0.6, base=q.q, q=q)),))
+    a, r = 0.5 + 0.5j, 1000.0
+    accepted = []
+    polish = nevanlinna._polish_root
+
+    def spy(*args):
+        p = polish(*args)
+        if p is not None:
+            accepted.append(p)
+        return p
+
+    monkeypatch.setattr(nevanlinna, "_polish_root", spy)
+    pts = apoint_events(f, a, r)
+    assert len(accepted) == 14
+    assert sum(h for _, h in pts) == argument_principle_count(f, a, r) == 14
 
 
 def test_deficiencies_one_over_three():

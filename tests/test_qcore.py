@@ -13,12 +13,10 @@ import mpmath
 import numpy as np
 import pytest
 
-from awnev.errors import InvalidParams
+from awnev.errors import InvalidParams, TruncationExceeded
 from awnev.qcore import (
     _BLOCK_ELEMS,
-    DEFAULT_POLICY,
     QParam,
-    TruncationPolicy,
     lattice_point,
     lift_to_z,
     lift_to_z_array,
@@ -98,7 +96,7 @@ def test_log_qpoch_vector_huge_a_real_part(q):
 def _loop_reference(a, q):
     """One numpy pass per factor: the reference for the blocked kernel."""
     a_arr = np.asarray(a, dtype=complex)
-    n = _truncation_index(float(np.max(np.abs(a_arr))), abs(q), DEFAULT_POLICY)
+    n = _truncation_index(float(np.max(np.abs(a_arr))), abs(q))
     out = np.zeros_like(a_arr)
     f = a_arr.copy()
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -168,7 +166,7 @@ def test_qpoch_infinite_exact_zero():
     # a = q^-2 makes the k=3 factor vanish exactly
     q = QParam(0.5)
     assert qpoch_infinite(q.q**-2, q) == 0.0
-    lg = log_qpoch_infinite(q.q**-2, q.q, DEFAULT_POLICY)
+    lg = log_qpoch_infinite(q.q**-2, q.q)
     assert np.isneginf(np.asarray(lg).real)
     # the array path: only the element on the lattice gives -inf
     lg = log_qpoch_infinite(np.array([0.3, q.q**-2, 4.0 + 1.0j]), q.q)
@@ -176,11 +174,14 @@ def test_qpoch_infinite_exact_zero():
     assert np.isfinite(lg[[0, 2]]).all()
 
 
-def test_truncation_tail_respects_policy():
-    q = QParam(0.99)
-    loose = qpoch_infinite(0.5, q, TruncationPolicy(abs_tol=1e-6, max_terms=10**6))
-    tight = qpoch_infinite(0.5, q, TruncationPolicy(abs_tol=1e-14, max_terms=10**6))
-    assert abs(loose - tight) < 1e-5
+def test_term_cap_raises_on_both_paths():
+    # q = 0.999999 needs ~4.7e7 factors for the tail bound, past MAX_TERMS:
+    # both paths refuse before summing any
+    q = 0.999999
+    with pytest.raises(TruncationExceeded):
+        log_qpoch_infinite(0.5, q)
+    with pytest.raises(TruncationExceeded):
+        log_qpoch_infinite(np.array([0.5, 0.1j]), q)
 
 
 def test_qparam_validation():
