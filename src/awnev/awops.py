@@ -9,13 +9,12 @@ callables in x are accepted for tests and black-box residual checks.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
 
 from .errors import DegenerateGenerator, InvalidParams, SelfCheckFailed
-from .funcrep import FunctionExpr, ProductForm, evaluate
+from .funcrep import FunctionExpr, ProductForm, breve_value, evaluate
 from .qcore import QParam, lift_to_z, qpoch_finite
 
 __all__ = [
@@ -41,16 +40,8 @@ BRANCH_POINT_NUDGE = 1e-6
 
 def as_breve(f):
     """Adapt f (FunctionExpr, ProductForm, or callable in x) to a breve callable."""
-    if isinstance(f, ProductForm):
-        f = f.as_expr()
-    if isinstance(f, FunctionExpr):
-        def g(z):
-            lg = f.breve_log(complex(z))
-            if lg.real == -math.inf:
-                return 0.0 + 0.0j
-            return cmath.exp(lg)
-
-        return g
+    if isinstance(f, (FunctionExpr, ProductForm)):
+        return lambda z: breve_value(f, z)
     if callable(f):
         return lambda z: f((z + 1.0 / z) / 2.0)
     raise InvalidParams(f"cannot interpret {type(f).__name__} as a function")

@@ -170,20 +170,8 @@ class _Token:
 
 
 def _number_value(text: str) -> complex:
-    if text == "i":
-        return 1j
-    if text.endswith("i"):
-        body = text[:-1]
-        # split a trailing imaginary part off a full complex literal; the
-        # sign separating the parts is never inside an exponent
-        for pos in range(len(body) - 1, 0, -1):
-            if body[pos] in "+-" and body[pos - 1] not in "eE":
-                real = float(body[:pos])
-                imag_txt = body[pos:]
-                imag = float(imag_txt) if imag_txt not in ("+", "-") else float(imag_txt + "1")
-                return complex(real, imag)
-        return complex(0.0, float(body))
-    return complex(float(text))
+    """Value of a token _NUMBER_RE matched: a trailing i is Python's j."""
+    return complex(text[:-1] + "j") if text.endswith("i") else complex(float(text))
 
 
 def _tokenize(src: str):

@@ -4,7 +4,9 @@ A :class:`ProductForm` is constant * poly(x) * prod_j phi_j(x)^{m_j} where
 phi_j(x) = (a_j z; base_j)_inf (a_j / z; base_j)_inf under the |z| >= 1
 branch lift.  Zeros and poles live on explicit lattices and are enumerated
 exactly; evaluation happens in log space so radii up to 1e8 never overflow.
-A :class:`FunctionExpr` is a finite linear combination of such forms.
+A :class:`FunctionExpr` is a finite linear combination of such forms; a
+form is the one-term sum ``((1, form),)`` and is accepted wherever a
+:class:`FunctionExpr` is.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 import cmath
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -24,8 +26,8 @@ __all__ = [
     "ProductForm",
     "FunctionExpr",
     "LatticeEvent",
+    "breve_value",
     "evaluate",
-    "log_abs_many",
     "zero_pole_ledger",
     "merged_ledger",
     "build_named",
@@ -124,8 +126,13 @@ class ProductForm:
         inv = tuple(ProductFactor(f.a, f.base, -f.m) for f in self.factors)
         return ProductForm(1.0 / self.constant, (), inv, self.q)
 
+    @property
+    def terms(self) -> tuple:
+        """The form as a one-term sum, as in :class:`FunctionExpr`."""
+        return ((1.0 + 0.0j, self),)
+
     def as_expr(self) -> "FunctionExpr":
-        return FunctionExpr(((1.0 + 0.0j, self),))
+        return FunctionExpr(self.terms)
 
 
 @dataclass(frozen=True)
@@ -173,7 +180,7 @@ class FunctionExpr:
         return out
 
 
-def _pole_guard(f: FunctionExpr, x: complex):
+def _pole_guard(f, x: complex):
     """Raise PoleHit if x is within relative POLE_RTOL of a pole lattice point."""
     ax = abs(x)
     tol = POLE_RTOL * max(1.0, ax)
@@ -186,37 +193,33 @@ def _pole_guard(f: FunctionExpr, x: complex):
                     raise PoleHit(f"x = {x} is a pole (lattice exponent {ev.exponent})")
 
 
+def breve_value(f, z: complex) -> complex:
+    """Value of a FunctionExpr or ProductForm at the z-plane point z.
+
+    The exp of ``f.breve_log(z)``, and exactly 0 where that log is -inf (a
+    zero of f).  A NaN log gives NaN.
+    """
+    lg = f.breve_log(complex(z))
+    return 0j if lg.real == -math.inf else cmath.exp(lg)
+
+
 def evaluate(f, x: complex) -> complex:
     """Numeric value of a FunctionExpr or ProductForm at the point x.
 
     A zero of f evaluates to 0; a NaN log raises NumericFailure.
     """
-    if isinstance(f, ProductForm):
-        f = f.as_expr()
     _pole_guard(f, x)
-    z = lift_to_z(x)
-    lg = f.breve_log(z)
-    if lg.real == -math.inf:
-        return 0.0 + 0.0j
-    if cmath.isnan(lg):
+    v = breve_value(f, lift_to_z(x))
+    if cmath.isnan(v):
         raise NumericFailure(f"log of the function is NaN at x = {x}")
-    return cmath.exp(lg)
-
-
-def log_abs_many(f, z_array) -> np.ndarray:
-    """Vectorized log|f| over an array of z-branch points (for quadrature)."""
-    if isinstance(f, ProductForm):
-        f = f.as_expr()
-    lg = f.breve_log(np.asarray(z_array, dtype=complex))
-    return np.asarray(lg).real
+    return v
 
 
 @dataclass(frozen=True)
 class LatticeEvent:
     """One zero (multiplicity > 0) or pole (< 0) of a product form.
 
-    ``z`` is the |z| >= 1 branch representative of x; ``a``/``base`` echo
-    the generating factor so counting code can walk the lattice.
+    ``z`` is the |z| >= 1 branch representative of x.
     """
 
     x: complex
@@ -225,8 +228,6 @@ class LatticeEvent:
     exponent: int
     multiplicity: int
     z: complex
-    a: complex
-    base: complex
 
 
 def _factor_events(fac: ProductFactor, gen_index: int, r: float):
@@ -247,8 +248,6 @@ def _factor_events(fac: ProductFactor, gen_index: int, r: float):
                     exponent=n,
                     multiplicity=fac.m,
                     z=z,
-                    a=fac.a,
-                    base=fac.base,
                 )
             )
         elif abs(w) < 1.0 and (1.0 / abs(w) - abs(w)) / 2.0 >= r:
@@ -279,16 +278,7 @@ def _merge_events(events):
             merged.append(ev)
         else:
             hit = merged[hit_idx]
-            merged[hit_idx] = LatticeEvent(
-                x=hit.x,
-                modulus=hit.modulus,
-                generator_index=hit.generator_index,
-                exponent=hit.exponent,
-                multiplicity=hit.multiplicity + ev.multiplicity,
-                z=hit.z,
-                a=hit.a,
-                base=hit.base,
-            )
+            merged[hit_idx] = replace(hit, multiplicity=hit.multiplicity + ev.multiplicity)
     merged = [e for e in merged if e.multiplicity != 0]
     merged.sort(key=lambda e: e.modulus)
     return merged
@@ -306,7 +296,6 @@ def zero_pole_ledger(f: ProductForm, r: float):
         for root in roots:
             x = complex(root)
             if abs(x) < r:
-                z = lift_to_z(x)
                 events.append(
                     LatticeEvent(
                         x=x,
@@ -314,16 +303,14 @@ def zero_pole_ledger(f: ProductForm, r: float):
                         generator_index=-1,
                         exponent=0,
                         multiplicity=1,
-                        z=z,
-                        a=z,
-                        base=f.q.q,
+                        z=lift_to_z(x),
                     )
                 )
     return _merge_events(events)
 
 
-def merged_ledger(f: FunctionExpr, r: float, target: str):
-    """Zero or pole events of a FunctionExpr usable when poles come from forms.
+def merged_ledger(f, r: float, target: str):
+    """Zero or pole events of a FunctionExpr or ProductForm.
 
     Pole events of a sum are the union of the term poles (no cancellation
     assumed); zero events are only available for single-term expressions.
@@ -439,7 +426,8 @@ def _j2c(v) -> complex:
     return complex(v[0], v[1])
 
 
-def expr_to_json(f: FunctionExpr) -> str:
+def expr_to_json(f) -> str:
+    """JSON of a FunctionExpr or ProductForm; expr_from_json reads it as a FunctionExpr."""
     obj = {
         "q": _c2j(f.q.q),
         "terms": [

@@ -116,7 +116,7 @@ def kernel_sum_expr(terms, q: QParam) -> FunctionExpr:
     )
 
 
-def _default_grid(f: FunctionExpr):
+def _default_grid(f):
     """The points of kernel_residual, clear of the zero/pole lattices of f."""
     events = []
     for _, form in f.terms:
@@ -132,10 +132,8 @@ def _default_grid(f: FunctionExpr):
     return pts
 
 
-def kernel_residual(f: FunctionExpr) -> float:
+def kernel_residual(f) -> float:
     """Max of |D_q f| / max(1, |f|) over the KERNEL_GRID_POINTS points clear of the lattices."""
-    if isinstance(f, ProductForm):
-        f = f.as_expr()
     worst = 0.0
     for x in _default_grid(f):
         fx = evaluate(f, x)
@@ -144,7 +142,7 @@ def kernel_residual(f: FunctionExpr) -> float:
     return worst
 
 
-def kernel_member(f: FunctionExpr) -> bool:
+def kernel_member(f) -> bool:
     """True iff the divided difference of f vanishes on the grid, within KERNEL_RTOL."""
     return kernel_residual(f) < KERNEL_RTOL
 
@@ -252,39 +250,27 @@ def kernel_solve(terms, q: QParam) -> KernelSolution:
 def theta(j: int, w: complex, q: QParam) -> complex:
     """Jacobi theta_j(w, q) from its q-infinite-product representation.
 
-    theta4 = (q^2;q^2) (q e^(2iw), q e^(-2iw); q^2);
-    theta3(w) = theta4(w + pi/2);
-    theta1(w) = -i q^(1/4) e^(iw) (q^2;q^2) (q^2 e^(2iw), e^(-2iw); q^2);
-    theta2(w) = theta1(w + pi/2).
+    theta_j(w) = head (u e^(2iw), v e^(-2iw); q^2)_inf with c = (q^2; q^2)_inf and
+
+        j   u      v    head
+        4   q      q    c
+        3   -q     -q   c                   (theta4(w + pi/2))
+        1   q^2    1    -i q^(1/4) e^(iw) c
+        2   -q^2   -1   q^(1/4) e^(iw) c    (theta1(w + pi/2))
     """
+    if j not in (1, 2, 3, 4):
+        raise InvalidParams("theta index j must be 1..4")
     w = complex(w)
     qq = q.q
     q2 = qq * qq
     c = qpoch_infinite(q2, q2)
     e2 = cmath.exp(2j * w)
-    if j == 4:
-        return c * qpoch_infinite(qq * e2, q2) * qpoch_infinite(qq / e2, q2)
-    if j == 3:
-        return c * qpoch_infinite(-qq * e2, q2) * qpoch_infinite(-qq / e2, q2)
-    q14 = cmath.exp(cmath.log(qq) / 4.0)
-    if j == 1:
-        return (
-            -1j
-            * q14
-            * cmath.exp(1j * w)
-            * c
-            * qpoch_infinite(q2 * e2, q2)
-            * qpoch_infinite(1.0 / e2, q2)
-        )
-    if j == 2:
-        return (
-            q14
-            * cmath.exp(1j * w)
-            * c
-            * qpoch_infinite(-q2 * e2, q2)
-            * qpoch_infinite(-1.0 / e2, q2)
-        )
-    raise InvalidParams("theta index j must be 1..4")
+    u, v = {4: (qq, qq), 3: (-qq, -qq), 1: (q2, 1.0), 2: (-q2, -1.0)}[j]
+    head = c
+    if j < 3:
+        q14 = cmath.exp(cmath.log(qq) / 4.0)
+        head = (-1j * q14 if j == 1 else q14) * cmath.exp(1j * w) * c
+    return head * qpoch_infinite(u * e2, q2) * qpoch_infinite(v / e2, q2)
 
 
 def _triple_product_series(z: complex, q: QParam) -> complex:

@@ -25,14 +25,7 @@ from .errors import (
     InvalidParams,
     PhaseJumpTooLarge,
 )
-from .funcrep import (
-    MERGE_RTOL,
-    FunctionExpr,
-    ProductForm,
-    log_abs_many,
-    merged_ledger,
-    zero_pole_ledger,
-)
+from .funcrep import MERGE_RTOL, breve_value, merged_ledger, zero_pole_ledger
 from .qcore import lift_to_z, lift_to_z_array
 
 __all__ = [
@@ -53,7 +46,10 @@ __all__ = [
     "radius_grid",
 ]
 
-CONTOUR_RTOL = 1e-8
+# proximity and argument_principle_count refuse a circle with an event
+# modulus within this share of r: the phase of f - a turns by about pi over
+# an arc that short, some 14 bisections below the spacing of 512 nodes
+CONTOUR_RTOL = 1e-6
 # an event of modulus below this sits at the origin, where log(r / |x|) is
 # undefined: it adds n(0) log r to N(r), as in Nevanlinna's counting function
 # (Hayman, Meromorphic Functions, 1964, ch. 1)
@@ -68,10 +64,6 @@ ORDER_RESIDUE_TOL = 0.2
 # is about ORDER_RADIUS^k, at the double underflow for k near 64
 # (1e-5^64 = 1e-320), so no larger order can be measured there
 MAX_VANISHING_ORDER = 64
-# argument_principle_count refuses a circle with an event modulus within this
-# share of r: the phase of f - a turns by about pi over an arc that short,
-# some 14 bisections below the spacing of 512 nodes
-WINDING_CONTOUR_RTOL = 1e-6
 # least nodes of argument_principle_count per zero or pole inside its circle:
 # at 8 a deep event turns the phase by pi/4 per step, below the pi/2 at which
 # the phase walk refines
@@ -144,15 +136,22 @@ class DeficiencyReport:
     r_used: tuple
 
 
-def _as_expr(f) -> FunctionExpr:
-    return f.as_expr() if isinstance(f, ProductForm) else f
-
-
-def _all_events(f: FunctionExpr, r: float):
+def _all_events(f, r: float):
     """Zero and pole events when enumerable (zeros need a single term)."""
     if len(f.terms) == 1:
         return zero_pole_ledger(f.terms[0][1], r)
     return merged_ledger(f, r, "Pole")
+
+
+def _contour_events(f, r: float):
+    """Events of f in |x| < 4r; ContourTooClose if one is within CONTOUR_RTOL r of |x| = r."""
+    events = _all_events(f, 4.0 * r)
+    for ev in events:
+        if abs(ev.modulus - r) <= CONTOUR_RTOL * r:
+            raise ContourTooClose(
+                f"event at |x| = {ev.modulus} within relative {CONTOUR_RTOL} of r = {r}"
+            )
+    return events
 
 
 def _accumulate(r: float, pairs):
@@ -181,16 +180,7 @@ def proximity(f, r: float, quad: int = 512) -> float:
     """
     if r <= 0:
         raise InvalidParams("r must be positive")
-    f = _as_expr(f)
-    events = _all_events(f, 4.0 * r)
-    near = []
-    for ev in events:
-        if abs(ev.modulus - r) <= CONTOUR_RTOL * r:
-            raise ContourTooClose(
-                f"event at |x| = {ev.modulus} within relative {CONTOUR_RTOL} of r = {r}"
-            )
-        if abs(ev.modulus - r) < 0.1 * r:
-            near.append(ev)
+    near = [ev for ev in _contour_events(f, r) if abs(ev.modulus - r) < 0.1 * r]
     thetas = np.linspace(0.0, 2.0 * math.pi, quad, endpoint=False)
     if near:
         h = 2.0 * math.pi / quad
@@ -203,7 +193,7 @@ def proximity(f, r: float, quad: int = 512) -> float:
         thetas = np.unique(np.concatenate([thetas, extra]))
     x = r * np.exp(1j * thetas)
     z = lift_to_z_array(x)
-    y = np.maximum(log_abs_many(f, z), 0.0)
+    y = np.maximum(f.breve_log(z).real, 0.0)
     y = np.where(np.isfinite(y), y, 0.0)
     # periodic trapezoid on a nonuniform grid
     th = np.concatenate([thetas, [thetas[0] + 2.0 * math.pi]])
@@ -220,13 +210,12 @@ def counting(f, r: float, target: str = "Pole"):
     """
     if r <= 0:
         raise InvalidParams("r must be positive")
-    events = merged_ledger(_as_expr(f), r, target)
+    events = merged_ledger(f, r, target)
     return _accumulate(r, ((ev.modulus, abs(ev.multiplicity)) for ev in events))
 
 
 def characteristic(f, r: float, quad: int = 512) -> CharRecord:
     """T(r, f) = m(r, f) + N(r, f) assembled from quadrature and the ledger."""
-    f = _as_expr(f)
     m = proximity(f, r, quad)
     n, N = counting(f, r, "Pole")
     return CharRecord(r=float(r), m=m, n_count=n, N=N, T=m + N)
@@ -244,7 +233,6 @@ def log_order(f, r_grid, quad: int = 512) -> float:
     r_grid = sorted(float(r) for r in r_grid)
     if len(r_grid) < 3 or r_grid[-1] / r_grid[0] < 1e3 or r_grid[0] <= math.e:
         raise GridTooSmall("need >= 3 radii spanning >= 3 decades with r > e")
-    f = _as_expr(f)
     us, ls = [], []
     for r in r_grid:
         T = characteristic(f, r, quad).T
@@ -288,7 +276,7 @@ def _vanishing_order(G, x0: complex) -> int:
     return max(int(kr), 0)
 
 
-def _reduced_counts(f: FunctionExpr, a, r: float):
+def _reduced_counts(f, a, r: float):
     """((n, N), (n_aw, N_aw)) of the a-points of f in |x| < r, from one walk.
 
     a = 0 and a = math.inf walk the exact ledger of zeros or poles; any
@@ -343,7 +331,7 @@ def aw_counting(f, r: float, target: str = "Zero") -> AWCountRecord:
         raise InvalidParams("r must be positive")
     if target not in ("Zero", "Pole"):
         raise InvalidParams("target must be 'Zero' or 'Pole'")
-    (n, _), (n_aw, N_aw) = _reduced_counts(_as_expr(f), 0 if target == "Zero" else math.inf, r)
+    (n, _), (n_aw, N_aw) = _reduced_counts(f, 0 if target == "Zero" else math.inf, r)
     return AWCountRecord(r=float(r), n_aw=n_aw, N_aw=N_aw, classical_n=n)
 
 
@@ -356,7 +344,7 @@ def aw_counting_at(f, a, r: float) -> AWCountRecord:
     """
     if a == 0 or a == math.inf:
         return aw_counting(f, r, "Zero" if a == 0 else "Pole")
-    (n, _), (n_aw, N_aw) = _reduced_counts(_as_expr(f), a, r)
+    (n, _), (n_aw, N_aw) = _reduced_counts(f, a, r)
     return AWCountRecord(r=float(r), n_aw=n_aw, N_aw=N_aw, classical_n=n)
 
 
@@ -396,7 +384,6 @@ def deficiencies(f, r_grid, values, quad: int = 512):
     the dominant bias at desk-scale radii.  Returns
     (list of DeficiencyReport, sum of theta over the values).
     """
-    f = _as_expr(f)
     r_grid = sorted(float(r) for r in r_grid)
     if len(r_grid) < 3 or r_grid[-1] / r_grid[0] < 1e3:
         raise GridTooSmall("need >= 3 radii spanning >= 3 decades")
@@ -501,11 +488,7 @@ def argument_principle_count(f, a: complex, r: float, nodes: int = 512) -> int:
     The circle gets ``nodes`` samples, or NODES_PER_EVENT per zero and pole
     of the ledger inside it when that is more.
     """
-    f = _as_expr(f)
-    events = _all_events(f, 4.0 * r)
-    for ev in events:
-        if abs(ev.modulus - r) <= WINDING_CONTOUR_RTOL * r:
-            raise ContourTooClose(f"event modulus {ev.modulus} too close to r = {r}")
+    events = _contour_events(f, r)
     # each zero or pole inside turns the phase by 2 pi, spread over the
     # circle when it lies deep inside; a step that turns by more than pi
     # aliases, so take at least NODES_PER_EVENT nodes per known event
@@ -544,12 +527,7 @@ def _newton_polish(val, z: complex, mult: int, floor: float = 0.0):
 
 def _value(f, a, to_z):
     """The scalar function p -> f(to_z(p)) - a, which reads -a at a zero of f."""
-
-    def val(p):
-        lg = f.breve_log(complex(to_z(p)))
-        return cmath.exp(lg) - a if lg.real != -math.inf else -a
-
-    return val
+    return lambda p: breve_value(f, to_z(p)) - a
 
 
 def _polish_root(f, a, p0, p1, to_z):
@@ -646,7 +624,6 @@ def apoint_events(f, a: complex, r: float):
     sqrt(1e-16 |a|) from a double point) stops the counts.  Cost grows with
     the number of a-points, so radii should be modest.
     """
-    f = _as_expr(f)
     poles = [(e.x, -e.multiplicity) for e in merged_ledger(f, 2.0 * r * math.sqrt(2.0), "Pole")]
     # slightly irrational offset so lattice points never sit on box edges
     eps = r * 1e-4 * (1.0 + math.pi / 1e3)
@@ -667,7 +644,6 @@ def second_main_check(f, values, r_grid, quad: int = 512):
     O((log r)^(sigma-1+eps)) slack, so LHS - RHS should grow no faster
     than that; the caller judges the slack.
     """
-    f = _as_expr(f)
     values = list(values)
     if len(values) < 2:
         raise InvalidParams("need at least two distinct target values")
@@ -719,7 +695,6 @@ def radius_grid(f, rmin: float, rmax: float, points: int):
     """
     if not 0 < rmin < rmax:
         raise InvalidParams("need 0 < rmin < rmax")
-    f = _as_expr(f)
     moduli = sorted({ev.modulus for ev in _all_events(f, 2.0 * rmax) if ev.modulus > 0})
     out = []
     for r in np.geomspace(rmin, rmax, points):

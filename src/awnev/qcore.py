@@ -171,8 +171,6 @@ def log_qpoch_infinite(a, q):
 def qpoch_infinite(a: complex, q) -> complex:
     """Infinite q-shifted factorial (a; q)_infinity for |q| < 1."""
     lg = log_qpoch_infinite(a, q)
-    if isinstance(lg, np.ndarray):
-        return np.exp(lg)
     if lg.real == -math.inf:
         return 0.0 + 0.0j
     return cmath.exp(lg)

@@ -58,10 +58,8 @@ def test_evaluate_matches_direct_products():
 def test_large_radius_no_overflow():
     f = form(factors=(ProductFactor(1.0, 0.5, 1),))
     # |x| = 1e8 would overflow a direct product; log-space evaluation must not
-    from awnev.funcrep import log_abs_many
-
     z = 2.0e8 + 0.0j
-    val = log_abs_many(f, np.array([z]))[0]
+    val = f.breve_log(np.array([z])).real[0]
     assert np.isfinite(val)
     assert val > 100.0
 
@@ -193,3 +191,32 @@ def test_breve_symmetry():
         a = f.breve_log(complex(z))
         b = f.breve_log(1.0 / complex(z))
         assert abs(a.real - b.real) < 1e-10 * max(1.0, abs(a.real))
+
+
+ONE_TERM_FORMS = [
+    form(factors=(ProductFactor(0.7, 0.5, 1),)),
+    form(2.0 - 0.5j, (-0.5, 1.0), (ProductFactor(0.7, 0.5, 1), ProductFactor(0.3, 0.25, -1))),
+    form(1.5, (0.2 + 0.1j, -0.4, 1.0), (ProductFactor(0.3 + 0.4j, 0.5, 2),)),
+]
+
+
+@pytest.mark.parametrize("pf", ONE_TERM_FORMS)
+def test_product_form_is_a_one_term_sum(pf):
+    # every entry point takes a ProductForm as the one-term sum it is
+    from awnev.awops import aw_diff
+    from awnev.kernel import kernel_residual
+    from awnev.nevanlinna import argument_principle_count, aw_counting, characteristic
+
+    ex = pf.as_expr()
+    for r, target in ((6.3, "Zero"), (6.3, "Pole"), (40.0, "Pole")):
+        assert merged_ledger(pf, r, target) == merged_ledger(ex, r, target)
+    assert expr_from_json(expr_to_json(pf)) == ex
+    assert pf.terms == ex.terms
+    for x in (2.7, -0.4 + 1.3j):
+        assert evaluate(pf, x) == evaluate(ex, x)
+        assert aw_diff(pf, x) == aw_diff(ex, x)
+    assert characteristic(pf, 7.9) == characteristic(ex, 7.9)
+    assert aw_counting(pf, 7.9, "Zero") == aw_counting(ex, 7.9, "Zero")
+    a = 0.5 + 0.5j
+    assert argument_principle_count(pf, a, 7.9) == argument_principle_count(ex, a, 7.9)
+    assert kernel_residual(pf) == kernel_residual(ex)

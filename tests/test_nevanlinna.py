@@ -162,6 +162,23 @@ def test_argument_principle_matches_ledger():
             assert signed == ledger_zero - ledger_pole
 
 
+def test_contour_guard_shared():
+    # one CONTOUR_RTOL for both quadratures of the circle: phi(x; 0.7) at
+    # q = 0.4 has an event of modulus d = 11.1831 (lattice exponent 3)
+    q = QParam(0.4)
+    f = single(0.7, base=q.q, q=q)
+    d = abs(lattice_point(0.7, q, 3))
+    assert d == pytest.approx(11.1831, abs=1e-4)
+    for r in (d * (1.0 + 5e-7), d * (1.0 - 5e-7)):
+        with pytest.raises(ContourTooClose):
+            proximity(f, r)
+        with pytest.raises(ContourTooClose):
+            argument_principle_count(f, 0, r)
+    r = d * (1.0 + 2e-6)
+    assert math.isfinite(proximity(f, r))
+    assert argument_principle_count(f, 0, r) == counting(f, r, "Zero")[0] == 4
+
+
 @pytest.mark.parametrize("a", [0, 1.0])
 @pytest.mark.parametrize("r", [1e6, 1e8, 1e20])
 def test_argument_principle_count_large_radius(a, r):
