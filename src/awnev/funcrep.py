@@ -193,12 +193,18 @@ def _pole_guard(f, x: complex):
                     raise PoleHit(f"x = {x} is a pole (lattice exponent {ev.exponent})")
 
 
-def breve_value(f, z: complex) -> complex:
-    """Value of a FunctionExpr or ProductForm at the z-plane point z.
+def breve_value(f, z):
+    """Value of a FunctionExpr or ProductForm at the z-plane point or array z.
 
     The exp of ``f.breve_log(z)``, and exactly 0 where that log is -inf (a
-    zero of f).  A NaN log gives NaN.
+    zero of f).  A NaN log gives NaN.  A point (a number or a 0-d array)
+    goes through cmath.exp, which raises OverflowError where the value
+    overflows; an array of points gives inf there, under the caller's numpy
+    error state.
     """
+    if isinstance(z, np.ndarray) and z.ndim:
+        lg = f.breve_log(z)
+        return np.where(lg.real == -math.inf, 0j, np.exp(lg))
     lg = f.breve_log(complex(z))
     return 0j if lg.real == -math.inf else cmath.exp(lg)
 

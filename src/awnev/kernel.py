@@ -158,6 +158,7 @@ def _annulus_roots(f: FunctionExpr, q: QParam):
     irrational so lattice zeros miss the cell edges (with retries if they do not).
     """
     L = -math.log(q.abs_q)
+    small = SMALL_BOX_RTOL * L
     sectors = 64
     for attempt in range(6):
         # irrational offsets keep lattice zeros off the window seams
@@ -167,7 +168,7 @@ def _annulus_roots(f: FunctionExpr, q: QParam):
         cells = [(complex(u0, lo), complex(u0 + L, hi)) for lo, hi in zip(ts, ts[1:])]
         try:
             total = _rect_winding(f, 0, cells[0][0], cells[-1][1], 16 * sectors, np.exp)
-            roots = _root_quadtree(f, 0, cells, KERNEL_EDGE_SAMPLES, np.exp, SMALL_BOX_RTOL * L,
+            roots = _root_quadtree(f, 0, cells, KERNEL_EDGE_SAMPLES, np.exp, small, small,
                                    KERNEL_MIN_SIZE)
         except (PhaseJumpTooLarge, ContourTooClose):  # a zero on or near a cell edge
             continue

@@ -26,7 +26,7 @@ from .errors import (
     PhaseJumpTooLarge,
 )
 from .funcrep import MERGE_RTOL, breve_value, merged_ledger, zero_pole_ledger
-from .qcore import lift_to_z, lift_to_z_array
+from .qcore import lift_to_z_array
 
 __all__ = [
     "CharRecord",
@@ -86,10 +86,11 @@ KERNEL_MIN_SIZE = 3e-7
 # samples per edge of the kernel's cells: sectors are 2 pi / 64 wide and an
 # annulus holds a few zeros, so no step of the phase walk turns by 2 pi
 KERNEL_EDGE_SAMPLES = 12
-# boxes with an edge below this share of r are small: a small box with one
-# a-point is handed to Newton (from a larger box the start is too far from
-# the point for Newton to be worth the evaluations), and a small box with
-# several whose quarters cannot be counted is reported as a cluster
+# boxes with an edge below this share of r (of the annulus width L for the
+# kernel's cells) are small: a small box with several roots whose quarters
+# cannot be counted is reported as a cluster.  The kernel also runs Newton
+# only from small cells with one zero; the a-point search runs it from every
+# box with one a-point
 SMALL_BOX_RTOL = 0.05
 # a Newton point p is kept when its last step is below
 # tol_p = NEWTON_STEP_RTOL max(1, |p|) and |f - a| below
@@ -252,24 +253,20 @@ def log_order(f, r_grid, quad: int = 512) -> float:
 
 
 def _vanishing_order(G, x0: complex) -> int:
-    """Numeric vanishing order of G at x0 by two-radius log-modulus regression."""
-    scale = max(1.0, abs(x0))
-    rho1 = ORDER_RADIUS * scale
-    rho2 = 2.0 * rho1
-    ks = np.arange(16)
-    angles = np.exp(2j * math.pi * (ks + 0.31) / 16.0)
+    """Numeric vanishing order of G at x0 by two-radius log-modulus regression.
 
-    def mean_log(rho):
-        vals = []
-        for w in angles:
-            v = G(x0 + rho * w)
-            av = abs(v)
-            if av == 0 or not math.isfinite(av):
-                raise AmbiguousOrder(f"G not evaluable on order-probe circle at {x0}")
-            vals.append(math.log(av))
-        return float(np.mean(vals))
-
-    k = (mean_log(rho2) - mean_log(rho1)) / math.log(2.0)
+    G takes an array of x-points; it is called once, on the 16 points of each
+    of the circles of radius ORDER_RADIUS max(1, |x0|) and twice that around
+    x0, and the order is the slope of the mean log |G| between them.  A zero
+    or non-finite value on either circle raises AmbiguousOrder.
+    """
+    rho = ORDER_RADIUS * max(1.0, abs(x0))
+    angles = np.exp(2j * math.pi * (np.arange(16) + 0.31) / 16.0)
+    with np.errstate(all="ignore"):  # a zero or an overflow is refused below
+        lg = np.log(np.abs(G(x0 + np.concatenate([rho * angles, 2.0 * rho * angles]))))
+    if not np.all(np.isfinite(lg)):
+        raise AmbiguousOrder(f"G not evaluable on order-probe circle at {x0}")
+    k = float(np.mean(lg[16:]) - np.mean(lg[:16])) / math.log(2.0)
     kr = round(k)
     if abs(k - kr) > ORDER_RESIDUE_TOL or kr > MAX_VANISHING_ORDER:
         raise AmbiguousOrder(f"non-integer vanishing order {k:.3f} at {x0}")
@@ -294,7 +291,7 @@ def _reduced_counts(f, a, r: float):
     dg = dq_breve(g, q)
 
     def kprime_at(x0):
-        return _vanishing_order(lambda x: dg(q.sqrt_q * lift_to_z(x)), x0)
+        return _vanishing_order(lambda x: dg(q.sqrt_q * lift_to_z_array(x)), x0)
 
     if a != 0 and a != math.inf:
         pts = [
@@ -560,17 +557,18 @@ def _polish_root(f, a, p0, p1, to_z):
     return p
 
 
-def _root_quadtree(f, a, cells, per_edge, to_z, small, min_size, poles=()):
+def _root_quadtree(f, a, cells, per_edge, to_z, small, polish, min_size, poles=()):
     """(location, multiplicity) of the roots of f - a in parameter-plane cells.
 
     ``to_z`` maps the plane to z.  A cell (p0, p1) counts the winding of f - a
     plus the orders of the ``poles`` (location, order) inside.  Cells split at
     the midpoint, and their quarters' counts are trusted (finer edges alias
     less); a count that does not settle splits its cell.  A cell of count 1
-    below ``small`` goes to _polish_root.  A cell below ``min_size``, or a small
-    one of several roots whose quarters do not count or add up (a cluster, or a
-    multiple root at the roundoff floor of f - a), is reported at its centre.
-    Raises PhaseJumpTooLarge unless the roots add up to the start cells' counts.
+    below ``polish`` goes to _polish_root, and splits when Newton is refused.
+    A cell below ``min_size``, or one below ``small`` of several roots whose
+    quarters do not count or add up (a cluster, or a multiple root at the
+    roundoff floor of f - a), is reported at its centre.  Raises
+    PhaseJumpTooLarge unless the roots add up to the start cells' counts.
     """
 
     def count(p0, p1):
@@ -597,7 +595,7 @@ def _root_quadtree(f, a, cells, per_edge, to_z, small, min_size, poles=()):
                 raise PhaseJumpTooLarge(f"count of the cell at {c} did not settle")
             found.append((c, n))
             continue
-        if n == 1 and size < small:
+        if n == 1 and size < polish:
             p = _polish_root(f, a, p0, p1, to_z)
             if p is not None:
                 found.append((p, 1))
@@ -619,17 +617,20 @@ def apoint_events(f, a: complex, r: float):
     """Locate a-points of f in |x| < r, as (location, multiplicity) sorted by modulus.
 
     _root_quadtree searches one box around the disc, with the exact pole
-    ledger.  A cluster or a multiple point is reported within APOINT_MIN_SIZE,
-    or within its box when an edge through the roundoff floor of f - a (about
-    sqrt(1e-16 |a|) from a double point) stops the counts.  Cost grows with
-    the number of a-points, so radii should be modest.
+    ledger.  A box of count 1 holds exactly one a-point, so Newton runs from
+    every such box, whatever its size: a converged point inside the box is
+    that a-point.  A cluster or a multiple point is reported within
+    APOINT_MIN_SIZE, or within its box when an edge through the roundoff
+    floor of f - a (about sqrt(1e-16 |a|) from a double point) stops the
+    counts.  Cost grows with the number of a-points, so radii should be
+    modest.
     """
     poles = [(e.x, -e.multiplicity) for e in merged_ledger(f, 2.0 * r * math.sqrt(2.0), "Pole")]
     # slightly irrational offset so lattice points never sit on box edges
     eps = r * 1e-4 * (1.0 + math.pi / 1e3)
     box = (complex(-r - eps, -r - eps), complex(r + eps * 1.3, r + eps * 1.3))
     found = _root_quadtree(f, a, [box], BOX_EDGE_SAMPLES, lift_to_z_array, SMALL_BOX_RTOL * r,
-                           APOINT_MIN_SIZE, poles)
+                           math.inf, APOINT_MIN_SIZE, poles)
     return sorted(((x, h) for x, h in found if abs(x) < r), key=lambda p: abs(p[0]))
 
 
@@ -669,7 +670,9 @@ def share_check(f, g, a, r_grid):
     Returns (rows, verdict) where rows are (r, N_red_f, N_red_g, diff) and
     the verdict is True when |diff|/log r does not blow up across the grid
     (|diff| staying O(log r)), judged by comparing the top decade of the
-    grid against the bottom decade.
+    grid against the bottom decade.  Every radius gets a row, but only radii
+    r > e are judged, as in log_order: log r vanishes at r = 1 and is
+    negative below it.
     """
     r_grid = sorted(float(r) for r in r_grid)
     rows = []
@@ -677,8 +680,9 @@ def share_check(f, g, a, r_grid):
         nf = aw_counting_at(f, a, r).N_aw
         ng = aw_counting_at(g, a, r).N_aw
         rows.append((r, nf, ng, nf - ng))
-    lo = [abs(d) / math.log(r) for r, _, _, d in rows if r <= r_grid[0] * 10.0]
-    hi = [abs(d) / math.log(r) for r, _, _, d in rows if r >= r_grid[-1] / 10.0]
+    judged = [(r, abs(d) / math.log(r)) for r, _, _, d in rows if r > math.e]
+    lo = [v for r, v in judged if r <= judged[0][0] * 10.0]
+    hi = [v for r, v in judged if r >= r_grid[-1] / 10.0]
     verdict = max(hi, default=0.0) <= 2.0 * max(lo, default=0.0) + 1.0
     return rows, verdict
 

@@ -12,6 +12,7 @@ from awnev.funcrep import (
     FunctionExpr,
     ProductFactor,
     ProductForm,
+    breve_value,
     build_named,
     evaluate,
     expr_from_json,
@@ -220,3 +221,18 @@ def test_product_form_is_a_one_term_sum(pf):
     a = 0.5 + 0.5j
     assert argument_principle_count(pf, a, 7.9) == argument_principle_count(ex, a, 7.9)
     assert kernel_residual(pf) == kernel_residual(ex)
+
+
+def test_breve_value_array_matches_scalar():
+    # one value rule for a point and an array: exp of breve_log, exactly 0
+    # at a zero (x = 1, the lift of z = 1, is a root of the polynomial part)
+    pf = form(2.0 - 0.5j, (-1.0, 1.0), (ProductFactor(0.7, 0.5, 1), ProductFactor(0.3, 0.25, -1)))
+    ex = FunctionExpr(((1.0, pf), (0.5j, form(factors=(ProductFactor(0.4, 0.5, 2),)))))
+    z = np.array([1.0, 1.7 + 0.4j, -3.0, 0.2 - 1.1j, 25.0 + 40.0j])
+    for f in (pf, ex):
+        got = breve_value(f, z)
+        want = [breve_value(f, w) for w in z]
+        assert got.shape == z.shape
+        for g, w in zip(got, want):
+            assert abs(g - w) <= 1e-13 * abs(w)
+    assert breve_value(pf, z)[0] == 0 and breve_value(pf, 1.0) == 0

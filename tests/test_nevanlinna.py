@@ -311,11 +311,12 @@ def test_apoint_events_unresolved_triple_point_raises():
 
 
 def test_apoint_events_newton_fallback(monkeypatch):
-    # The first boxes handed to Newton have edge s = (first square) / 64.  p1
-    # sits 6e-4 r right of the first-level edge Re x = mx, near the bottom
-    # corner of its box; p2 sits just left of that edge, level with the
-    # box centre, so Newton from the centre finds p2, outside the box, and
-    # the box has to be split before p1 is polished.
+    # Newton runs from every box of count 1.  With s = (first square) / 64,
+    # p1 sits 6e-4 r right of the first-level edge Re x = mx, near the bottom
+    # corner of each box around it; p2 sits just left of that edge, 0.45 s
+    # above p1, so Newton from the centre of each of those boxes finds p2,
+    # outside the box, and the box has to be split (down to edge s / 4)
+    # before p1 is polished.
     r = 2.0
     eps = r * 1e-4 * (1.0 + math.pi / 1e3)
     lo, hi = -r - eps, r + 1.3 * eps
@@ -363,6 +364,46 @@ def test_apoint_events_newton_keeps_steep_points(monkeypatch):
     pts = apoint_events(f, a, r)
     assert len(accepted) == 14
     assert sum(h for _, h in pts) == argument_principle_count(f, a, r) == 14
+
+
+def test_apoint_search_runs_newton_from_the_first_box_of_one_point(monkeypatch):
+    # phi(x; 0.6) at q = 0.14 has one 0.5+0.5j-point in |x| < 2: Newton runs
+    # from the start box, and the order probe is one array call of D_q f
+    q = QParam(0.14)
+    f = FunctionExpr(((1.0, single(0.6, base=q.q, q=q)),))
+    a, r = 0.5 + 0.5j, 2.0
+    windings, probe_logs, probing = [], [], []
+    winding, order, breve_log = (
+        nevanlinna._rect_winding, nevanlinna._vanishing_order, FunctionExpr.breve_log
+    )
+
+    def winding_spy(*args):
+        windings.append(args[2:4])
+        return winding(*args)
+
+    def order_spy(*args):
+        probing.append(True)
+        try:
+            return order(*args)
+        finally:
+            probing.pop()
+
+    def breve_log_spy(self, z):
+        if probing:
+            probe_logs.append(np.shape(z))
+        return breve_log(self, z)
+
+    monkeypatch.setattr(nevanlinna, "_rect_winding", winding_spy)
+    monkeypatch.setattr(nevanlinna, "_vanishing_order", order_spy)
+    monkeypatch.setattr(FunctionExpr, "breve_log", breve_log_spy)
+    ((x, h),) = apoint_events(f, a, r)
+    assert len(windings) <= 2
+    assert type(x) is complex and h == 1
+    assert abs(x - (0.6245702937474988 - 0.42405969689756046j)) <= 1e-12
+    rec = aw_counting_at(f, a, r)
+    assert len(probe_logs) <= 2
+    assert rec.n_aw == 1 and rec.classical_n == 1
+    assert rec.N_aw == pytest.approx(0.9742814887785779, rel=1e-13)
 
 
 def test_deficiencies_one_over_three():
@@ -420,6 +461,16 @@ def test_share_check_same_value_lattice():
     rows, verdict = share_check(f, g, math.inf, [10.0, 100.0, 1e3, 1e4])
     assert verdict
     assert all(d == 0 for _, _, _, d in rows)
+
+
+def test_share_check_judges_only_radii_above_e():
+    # log r is 0 at r = 1: the row is kept, but only r > e enter the verdict
+    q = Q5
+    f, g = single(0.6, base=q.q), single(0.7, base=q.q)
+    rows, verdict = share_check(f, g, 1.5 + 0.5j, [1.0, 3.0, 10.0, 50.0])
+    assert [r for r, *_ in rows] == [1.0, 3.0, 10.0, 50.0]
+    assert all(math.isfinite(d) for *_, d in rows)
+    assert verdict
 
 
 def test_radius_grid_avoids_moduli():

@@ -1,4 +1,4 @@
-"""Property tests of the factor algebra of ProductForm and of the counts."""
+"""Property tests of the factor algebra of ProductForm, of the counts and of the a-point search."""
 
 import cmath
 import math
@@ -7,8 +7,9 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial.polynomial import polyfromroots
 
+from awnev.errors import ContourTooClose
 from awnev.funcrep import ProductFactor, ProductForm, evaluate, zero_pole_ledger
-from awnev.nevanlinna import aw_counting, counting
+from awnev.nevanlinna import apoint_events, argument_principle_count, aw_counting, counting
 from awnev.qcore import QParam
 
 PROPS = settings(deadline=None, max_examples=40)
@@ -74,3 +75,21 @@ def test_reduced_count_bounded_by_classical_count(f, r, target):
     assert rec.classical_n == n
     assert rec.n_aw <= n
     assert rec.N_aw <= N
+
+
+@PROPS
+@given(st.floats(0.1, 0.25), _polar(0.05, 0.65), _polar(0.5, 2.5), st.floats(2.0, 30.0))
+def test_apoint_search_matches_the_winding_count(qv, c, a, r):
+    # phi(x; c) over the domain of the benchmark's one-a-point counts
+    q = QParam(qv)
+    f = ProductForm(1.0, (), (ProductFactor(c, q.q, 1),), q)
+    try:
+        want = argument_principle_count(f, a, r)
+    except ContourTooClose:
+        assume(False)
+    pts = apoint_events(f, a, r)
+    assert sum(h for _, h in pts) == want
+    assert all(abs(x) < r for x, _ in pts)
+    for x, h in pts:
+        if h == 1:
+            assert abs(evaluate(f, x) - a) <= 1e-9 * max(1.0, abs(a))
