@@ -57,10 +57,6 @@ class VerificationFailed(NumericFailure):
     pass
 
 
-class AmbiguousOrder(NumericFailure):
-    """Numeric vanishing-order detection returned a non-integer order."""
-
-
 class PhaseJumpTooLarge(NumericFailure):
     """Argument-principle refinement exhausted without resolving the phase."""
 

@@ -17,16 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .awops import as_breve, aw_diff, dq_breve
-from .errors import (
-    AmbiguousOrder,
-    ContourTooClose,
-    GridTooSmall,
-    InvalidParams,
-    PhaseJumpTooLarge,
-)
+from .awops import aw_diff
+from .errors import ContourTooClose, GridTooSmall, InvalidParams, PhaseJumpTooLarge
 from .funcrep import MERGE_RTOL, breve_value, merged_ledger, zero_pole_ledger
-from .qcore import lift_to_z_array
+from .qcore import lift_to_z, lift_to_z_array
 
 __all__ = [
     "CharRecord",
@@ -58,12 +52,6 @@ ORIGIN_MODULUS = 1e-12
 # the enumerated |z| >= 1 branch only; one inside the unit z-disk by more than
 # this roundoff margin is off that branch and is not an event
 UNIT_DISK_MARGIN = 1e-12
-ORDER_RADIUS = 1e-5
-ORDER_RESIDUE_TOL = 0.2
-# highest vanishing order _vanishing_order reports: on the probe circle |G|
-# is about ORDER_RADIUS^k, at the double underflow for k near 64
-# (1e-5^64 = 1e-320), so no larger order can be measured there
-MAX_VANISHING_ORDER = 64
 # least nodes of argument_principle_count per zero or pole inside its circle:
 # at 8 a deep event turns the phase by pi/4 per step, below the pi/2 at which
 # the phase walk refines
@@ -100,6 +88,11 @@ SMALL_BOX_RTOL = 0.05
 # it, and the slope term admits the roundoff of steep f (|f'| ulp(p) there)
 NEWTON_STEP_RTOL = 1e-9
 NEWTON_RESIDUAL_RTOL = 1e-9
+# _polish_root keeps a point only within tol_p of an a-point, so two points
+# it returns within twice that of each other cannot be told apart: the
+# reduced count takes them for the same a-point (the ledger's MERGE_RTOL plays
+# this part for zeros and poles)
+APOINT_MATCH_RTOL = 2.0 * NEWTON_STEP_RTOL
 # relative roundoff of a value of f (a sum of up to a few thousand factor
 # logs); a Newton point is kept only if f - a changed by this much moves it
 # by less than the step tolerance, which a multiple a-point fails: there
@@ -252,70 +245,40 @@ def log_order(f, r_grid, quad: int = 512) -> float:
 # --- reduced (lattice-aware) counting ------------------------------------------
 
 
-def _vanishing_order(G, x0: complex) -> int:
-    """Numeric vanishing order of G at x0 by two-radius log-modulus regression.
-
-    G takes an array of x-points; it is called once, on the 16 points of each
-    of the circles of radius ORDER_RADIUS max(1, |x0|) and twice that around
-    x0, and the order is the slope of the mean log |G| between them.  A zero
-    or non-finite value on either circle raises AmbiguousOrder.
-    """
-    rho = ORDER_RADIUS * max(1.0, abs(x0))
-    angles = np.exp(2j * math.pi * (np.arange(16) + 0.31) / 16.0)
-    with np.errstate(all="ignore"):  # a zero or an overflow is refused below
-        lg = np.log(np.abs(G(x0 + np.concatenate([rho * angles, 2.0 * rho * angles]))))
-    if not np.all(np.isfinite(lg)):
-        raise AmbiguousOrder(f"G not evaluable on order-probe circle at {x0}")
-    k = float(np.mean(lg[16:]) - np.mean(lg[:16])) / math.log(2.0)
-    kr = round(k)
-    if abs(k - kr) > ORDER_RESIDUE_TOL or kr > MAX_VANISHING_ORDER:
-        raise AmbiguousOrder(f"non-integer vanishing order {k:.3f} at {x0}")
-    return max(int(kr), 0)
-
-
 def _reduced_counts(f, a, r: float):
     """((n, N), (n_aw, N_aw)) of the a-points of f in |x| < r, from one walk.
 
-    a = 0 and a = math.inf walk the exact ledger of zeros or poles; any
-    other a is located by apoint_events.  A point of multiplicity h counts
-    h - min(h, k') in the reduced count.  For a lattice event k' is the
-    multiplicity of the same-kind event at the q-shifted neighbour q z of its
-    representative (0 when there is none, including when q z falls inside
-    the unit z-disk, off the enumerated branch).  For a polynomial root or
-    an a-point it is the numeric vanishing order of D_q f at the hatted
-    point (of D_q (1/f) for a pole).
+    a = 0 and a = math.inf take the zeros or poles from the exact ledger;
+    any other a takes its a-points from apoint_events.  An event of
+    multiplicity h counts h - min(h, k') in the reduced count, where k' is
+    the multiplicity of the same-kind event at x(q z), the q-shifted
+    neighbour of its |z| >= 1 representative z; there is none when q z falls
+    inside the unit z-disk, off that branch.  The neighbour is looked up in x
+    within MERGE_RTOL for ledger events and APOINT_MATCH_RTOL for a-points.
+    Events are listed on the window |x| < R = max(r, (|q| (2r + 1) + 1) / 2):
+    for |x| < r, |z| < 2r + 1, and |x(w)| <= (|w| + 1) / 2 for |w| >= 1, so
+    every neighbour looked up lies in it.
     """
     q = f.q
-    g0 = as_breve(f)
-    g = g0 if a != math.inf else (lambda z: 1.0 / g0(z))
-    dg = dq_breve(g, q)
-
-    def kprime_at(x0):
-        return _vanishing_order(lambda x: dg(q.sqrt_q * lift_to_z_array(x)), x0)
-
-    if a != 0 and a != math.inf:
-        pts = [
-            (abs(x0), h, h - min(h, kprime_at(x0)))
-            for x0, h in apoint_events(f, complex(a), r)
-        ]
+    R = max(r, (q.abs_q * (2.0 * r + 1.0) + 1.0) / 2.0)
+    if a == 0 or a == math.inf:
+        ledger = merged_ledger(f, R, "Zero" if a == 0 else "Pole")
+        events = [(ev.x, ev.z, abs(ev.multiplicity)) for ev in ledger]
+        rtol = MERGE_RTOL
     else:
-        # the neighbour may sit just outside |x| = r; enumerate a wider window
-        ledger = merged_ledger(f, 2.0 * r / q.abs_q + 2.0, "Zero" if a == 0 else "Pole")
-        pts = []
-        for ev in ledger:
-            if ev.modulus >= r:
-                continue
-            h = abs(ev.multiplicity)
-            zm = q.q * ev.z
-            if ev.generator_index < 0:
-                kprime = kprime_at(ev.x)
-            elif abs(zm) < 1.0 - UNIT_DISK_MARGIN:
-                kprime = 0
-            else:
-                # whether q z is a ledger point is the ledger's own coincidence test
-                tol = MERGE_RTOL * max(1.0, abs(zm))
-                kprime = next((abs(e.multiplicity) for e in ledger if abs(e.z - zm) <= tol), 0)
-            pts.append((ev.modulus, h, h - min(h, kprime)))
+        events = [(x, lift_to_z(x), h) for x, h in apoint_events(f, complex(a), R)]
+        rtol = APOINT_MATCH_RTOL
+    pts = []
+    for x, z, h in events:
+        if abs(x) >= r:
+            continue
+        w = q.q * z
+        kprime = 0
+        if abs(w) >= 1.0 - UNIT_DISK_MARGIN:
+            xn = (w + 1.0 / w) / 2.0
+            tol = rtol * max(1.0, abs(xn))
+            kprime = next((k for y, _, k in events if abs(y - xn) <= tol), 0)
+        pts.append((abs(x), h, h - min(h, kprime)))
     return (
         _accumulate(r, ((m, h) for m, h, _ in pts)),
         _accumulate(r, ((m, c) for m, _, c in pts)),
@@ -336,8 +299,8 @@ def aw_counting_at(f, a, r: float) -> AWCountRecord:
     """Reduced counting at a general target value a (or math.inf for poles).
 
     Values 0 and infinity use the exact ledger; other targets are located
-    by argument-principle subdivision and discounted by numeric
-    vanishing-order detection of the divided difference at the hatted point.
+    by apoint_events.  Either way an event is discounted by the multiplicity
+    of the same-kind event at its q-shifted neighbour, as in _reduced_counts.
     """
     if a == 0 or a == math.inf:
         return aw_counting(f, r, "Zero" if a == 0 else "Pole")
@@ -672,9 +635,11 @@ def share_check(f, g, a, r_grid):
     (|diff| staying O(log r)), judged by comparing the top decade of the
     grid against the bottom decade.  Every radius gets a row, but only radii
     r > e are judged, as in log_order: log r vanishes at r = 1 and is
-    negative below it.
+    negative below it.  A grid with no radius r > e raises GridTooSmall.
     """
     r_grid = sorted(float(r) for r in r_grid)
+    if not r_grid or r_grid[-1] <= math.e:
+        raise GridTooSmall("need a radius r > e to judge")
     rows = []
     for r in r_grid:
         nf = aw_counting_at(f, a, r).N_aw
@@ -683,7 +648,7 @@ def share_check(f, g, a, r_grid):
     judged = [(r, abs(d) / math.log(r)) for r, _, _, d in rows if r > math.e]
     lo = [v for r, v in judged if r <= judged[0][0] * 10.0]
     hi = [v for r, v in judged if r >= r_grid[-1] / 10.0]
-    verdict = max(hi, default=0.0) <= 2.0 * max(lo, default=0.0) + 1.0
+    verdict = max(hi) <= 2.0 * max(lo) + 1.0
     return rows, verdict
 
 

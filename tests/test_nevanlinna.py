@@ -1,9 +1,11 @@
 """Counting, proximity, characteristic, reduced counting, deficiencies."""
 
+import cmath
 import math
 
 import numpy as np
 import pytest
+from numpy.polynomial.polynomial import polyfromroots
 
 from awnev import nevanlinna
 from awnev.errors import ContourTooClose, GridTooSmall, InvalidParams, PhaseJumpTooLarge
@@ -104,6 +106,63 @@ def test_reduced_counting_branch_example():
     rec = aw_counting(f, 3.0, "Zero")
     assert rec.classical_n == 3
     assert rec.n_aw == 1
+
+
+def _x_of(z):
+    return (z + 1.0 / z) / 2.0
+
+
+def _roots_form(zs, q, shift=0.0):
+    """The polynomial with roots x(z) for z in zs, plus the constant shift."""
+    coeffs = polyfromroots([_x_of(z) for z in zs]).astype(complex)
+    coeffs[0] += shift
+    return ProductForm(1.0, tuple(coeffs), (), q)
+
+
+@pytest.mark.parametrize(
+    "zs, qv, r, n_aw",
+    [
+        # z = 4 has its neighbour q z = 2 on the branch; z = 2 has q z = 1
+        ((4.0, 2.0), 0.5, 3.0, 1),
+        # x(1/0.75) = x(0.75): each root is the other's mirror, and q z lies
+        # inside the unit disk for both, so neither is discounted
+        ((1.5, 1.0 / 0.75), 0.5, 3.0, 2),
+        # |x(2.1i)| = 0.812 < r, while its neighbour x(-1.05) sits at 1.001 > r
+        ((2.1j, 0.5j * 2.1j), 0.5j, 0.9, 0),
+    ],
+)
+@pytest.mark.parametrize("branch", ["zeros", "apoints"])
+def test_reduced_count_discounts_by_the_q_shifted_neighbour(zs, qv, r, n_aw, branch):
+    # polynomial roots follow the ledger's rule, as zeros and as a-points
+    q = QParam(qv)
+    if branch == "zeros":
+        rec = aw_counting(_roots_form(zs, q), r, "Zero")
+    else:
+        a = 0.5 + 0.5j
+        rec = aw_counting_at(_roots_form(zs, q, a), a, r)
+    assert rec.classical_n == sum(abs(_x_of(z)) < r for z in zs)
+    assert rec.n_aw == n_aw
+
+
+def test_reduced_count_of_a_root_by_the_origin():
+    # roots at 1e-5 e^i and e^i: a vanishing-order probe of D_q f found no
+    # integer order at the first; neither has a neighbour among the zeros
+    roots = [1e-5 * cmath.exp(1j), cmath.exp(1j)]
+    f = ProductForm(1, tuple(polyfromroots(roots)), (ProductFactor(1, 0.5, -4),), Q5)
+    rec = aw_counting(f, 1.0, "Zero")
+    assert rec.classical_n == 2
+    assert rec.n_aw == 2
+
+
+def test_reduced_count_of_apoints_hugging_zeros():
+    # phi(x; 1), a = -2+1j: the a-point near 32.008 hugs a zero, where a
+    # vanishing-order probe of D_q f read the non-integer slope 0.622
+    f = single(1.0)
+    r = radius_grid(f, 10.0, 1e7, 12)[1]
+    assert r == pytest.approx(35.1, abs=0.05)
+    rec = aw_counting_at(f, -2 + 1j, r)
+    assert rec.classical_n == 7
+    assert rec.n_aw == 7
 
 
 def test_reduced_counting_generic_lattice():
@@ -368,40 +427,42 @@ def test_apoint_events_newton_keeps_steep_points(monkeypatch):
 
 def test_apoint_search_runs_newton_from_the_first_box_of_one_point(monkeypatch):
     # phi(x; 0.6) at q = 0.14 has one 0.5+0.5j-point in |x| < 2: Newton runs
-    # from the start box, and the order probe is one array call of D_q f
+    # from the start box, and the reduced count evaluates f nowhere but in
+    # its a-point search
     q = QParam(0.14)
     f = FunctionExpr(((1.0, single(0.6, base=q.q, q=q)),))
     a, r = 0.5 + 0.5j, 2.0
-    windings, probe_logs, probing = [], [], []
-    winding, order, breve_log = (
-        nevanlinna._rect_winding, nevanlinna._vanishing_order, FunctionExpr.breve_log
+    windings, other_logs, searching = [], [], []
+    winding, search, breve_log = (
+        nevanlinna._rect_winding, nevanlinna.apoint_events, FunctionExpr.breve_log
     )
 
     def winding_spy(*args):
         windings.append(args[2:4])
         return winding(*args)
 
-    def order_spy(*args):
-        probing.append(True)
+    def search_spy(*args):
+        searching.append(True)
         try:
-            return order(*args)
+            return search(*args)
         finally:
-            probing.pop()
+            searching.pop()
 
     def breve_log_spy(self, z):
-        if probing:
-            probe_logs.append(np.shape(z))
+        if not searching:
+            other_logs.append(np.shape(z))
         return breve_log(self, z)
 
     monkeypatch.setattr(nevanlinna, "_rect_winding", winding_spy)
-    monkeypatch.setattr(nevanlinna, "_vanishing_order", order_spy)
+    monkeypatch.setattr(nevanlinna, "apoint_events", search_spy)
     monkeypatch.setattr(FunctionExpr, "breve_log", breve_log_spy)
     ((x, h),) = apoint_events(f, a, r)
     assert len(windings) <= 2
     assert type(x) is complex and h == 1
     assert abs(x - (0.6245702937474988 - 0.42405969689756046j)) <= 1e-12
+    other_logs.clear()  # the direct search above went round the spy
     rec = aw_counting_at(f, a, r)
-    assert len(probe_logs) <= 2
+    assert other_logs == []
     assert rec.n_aw == 1 and rec.classical_n == 1
     assert rec.N_aw == pytest.approx(0.9742814887785779, rel=1e-13)
 
@@ -415,8 +476,9 @@ def test_deficiencies_one_over_three():
 
 
 def test_deficiencies_generic_value_one_search_per_radius(monkeypatch):
-    # one a-point search per radius gives both N and the reduced N; the
-    # report is the one computed with a second search for N
+    # one a-point search per radius, on the window of the q-shifted
+    # neighbours, gives both N and the reduced N; the report is the one
+    # computed with a second search for N
     q = QParam(0.2)
     f = FunctionExpr(((1.0, single(0.3 + 0.4j, base=q.q, q=q)),))
     rs = [0.4, 2.0, 10.0, 50.0, 200.0, 500.0]
@@ -429,7 +491,8 @@ def test_deficiencies_generic_value_one_search_per_radius(monkeypatch):
 
     monkeypatch.setattr(nevanlinna, "apoint_events", spy)
     reports, total = deficiencies(f, rs, [1.5 - 0.5j], quad=128)
-    assert calls == rs
+    # each search covers the window R that holds the q-shifted neighbours
+    assert calls == [max(r, (0.2 * (2.0 * r + 1.0) + 1.0) / 2.0) for r in rs]
     (rep,) = reports
     assert rep.r_used == tuple(rs)
     assert rep.delta == pytest.approx(0.0003924311270094849, rel=1e-9)
@@ -471,6 +534,14 @@ def test_share_check_judges_only_radii_above_e():
     assert [r for r, *_ in rows] == [1.0, 3.0, 10.0, 50.0]
     assert all(math.isfinite(d) for *_, d in rows)
     assert verdict
+
+
+def test_share_check_refuses_a_grid_with_no_radius_above_e():
+    # no radius r > e leaves nothing to judge, so there is no verdict
+    q = Q5
+    f, g = single(0.6, base=q.q), single(0.7, base=q.q)
+    with pytest.raises(GridTooSmall):
+        share_check(f, g, 1.5 + 0.5j, [0.5, 2.0])
 
 
 def test_radius_grid_avoids_moduli():

@@ -3,6 +3,7 @@
 import cmath
 import math
 
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial.polynomial import polyfromroots
@@ -10,7 +11,7 @@ from numpy.polynomial.polynomial import polyfromroots
 from awnev.errors import ContourTooClose
 from awnev.funcrep import ProductFactor, ProductForm, evaluate, zero_pole_ledger
 from awnev.nevanlinna import apoint_events, argument_principle_count, aw_counting, counting
-from awnev.qcore import QParam
+from awnev.qcore import QParam, lattice_point
 
 PROPS = settings(deadline=None, max_examples=40)
 
@@ -75,6 +76,21 @@ def test_reduced_count_bounded_by_classical_count(f, r, target):
     assert rec.classical_n == n
     assert rec.n_aw <= n
     assert rec.N_aw <= N
+
+
+@PROPS
+@given(st.floats(0.1, 0.6), _polar(0.05, 0.95), st.integers(1, 4))
+def test_polynomial_roots_count_like_lattice_zeros(qv, c, K):
+    # the polynomial with the first K lattice points of phi(x; c) as roots
+    # has the zeros of phi(x; c) in |x| < r, so it has the same reduced count
+    q = QParam(qv)
+    xs = [lattice_point(c, q, n) for n in range(K + 1)]
+    r = math.sqrt(abs(xs[K - 1]) * abs(xs[K]))
+    poly = ProductForm(1.0, tuple(polyfromroots(xs[:K])), (), q)
+    phi = ProductForm(1.0, (), (ProductFactor(c, q.q, 1),), q)
+    got, want = aw_counting(poly, r, "Zero"), aw_counting(phi, r, "Zero")
+    assert (got.classical_n, got.n_aw) == (want.classical_n, want.n_aw)
+    assert got.N_aw == pytest.approx(want.N_aw, rel=1e-9)
 
 
 @PROPS
