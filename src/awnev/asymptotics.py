@@ -89,7 +89,7 @@ def asym_error_bound(q: QParam) -> float:
     return 3.0 * s / ((1.0 - s) * (1.0 - q.abs_q))
 
 
-def weight_ratio_proximity(a, b, c, d, q: QParam, r_grid, quad: int = 512):
+def weight_ratio_proximity(a, b, c, d, q: QParam, r_grid):
     """Proximity m(r, shifted weight / weight) on r_grid, and its log r slope.
 
     The ratio is assembled symbolically: the common (e^(2 i theta) ...) and
@@ -107,6 +107,6 @@ def weight_ratio_proximity(a, b, c, d, q: QParam, r_grid, quad: int = 512):
         factors.append(ProductFactor(p, q.q, -1))
     ratio = ProductForm(1.0, (), tuple(factors), q)
     rs = [float(r) for r in r_grid]
-    values = [proximity(ratio, r, quad=quad) for r in rs]
+    values = [proximity(ratio, r) for r in rs]
     slope = float(np.polyfit(np.log(rs), values, 1)[0])
     return values, slope

@@ -5,7 +5,9 @@ the orthogonality weight and its shifted family, numeric residual checks of
 the self-adjoint second-order divided-difference equation and the
 Rodrigues-type formula, Gauss-Legendre orthogonality integrals, and the two
 Rogers generating-function checks (continuous q-Hermite and continuous
-q-ultraspherical).
+q-ultraspherical), whose series are summed by the three-term recurrences of
+the polynomials (Koekoek, Lesky & Swarttouw, Hypergeometric Orthogonal
+Polynomials and Their q-Analogues, 2010, sections 14.26 and 14.10.1).
 
 All divided differences inside the residuals are applied numerically via
 the operator module; nothing is simplified symbolically, so the checks are
@@ -51,8 +53,8 @@ BRANCH_TOL = 1e-12
 # Smallest share of its summed term moduli that a terminating series value is
 # measured against: the roundoff of a sum of moduli M is ~1e-16 M, so a value
 # cancelled below 1e-6 M reads as at most ~1e-10 relative error, under the
-# 1e-9 Rodrigues bound, while any error not caused by cancellation keeps its
-# full relative size.
+# residuals' bounds (1e-9, 1e-7 for the eigen equation), while any error not
+# caused by cancellation keeps its full relative size.
 CANCEL_FLOOR = 1e-6
 # truncation tail left by the default number of terms of generating_residual:
 # four orders below the 1e-9 the residual is checked against
@@ -60,6 +62,11 @@ GEN_TAIL_TOL = 1e-12
 # points x of eigen_residual and rodrigues_residual: 13 points of (-1, 1),
 # where the weight lives, kept 0.09 or more from its singular branch points +-1
 RESIDUAL_X_GRID = np.linspace(-0.87, 0.91, 13)
+# nodes of the finer Gauss-Legendre rule of orthogonality_check (the coarser
+# has half): the integrand is analytic in a strip of width log(1 / max |p|)
+# around [0, pi], so the rule converges geometrically; at 256 the two rules
+# agree for a parameter of modulus 0.99 at q = 0.5 and 0.9 (not at 0.995)
+ORTHO_NODES = 256
 
 
 @dataclass(frozen=True)
@@ -176,15 +183,20 @@ def weight_breve(p: AWParams, shift: int = 0):
         sin_t = (z - 1.0 / z) / 2.0j
         if abs(sin_t) < BRANCH_TOL:
             raise BranchDegenerate("weight is singular at x = +-1")
-        num = qpoch_infinite(z * z, q) * qpoch_infinite(1.0 / (z * z), q)
-        den = sin_t
-        for w in ps:
-            den *= qpoch_infinite(w * z, q) * qpoch_infinite(w / z, q)
+        num, den = _weight_parts(ps, q, z, sin_t)
         if den == 0:
             raise PoleHit("x is a pole of the weight")
         return num / den
 
     return g
+
+
+def _weight_parts(ps, q: QParam, z: complex, den: complex) -> tuple:
+    """(z^2, z^-2; q)_inf and den * prod_p (p z, p/z; q)_inf, multiplied in that order."""
+    num = qpoch_infinite(z * z, q) * qpoch_infinite(1.0 / (z * z), q)
+    for w in ps:
+        den *= qpoch_infinite(w * z, q) * qpoch_infinite(w / z, q)
+    return num, den
 
 
 def aw_weight(x: complex, p: AWParams, shift: int = 0) -> complex:
@@ -207,24 +219,16 @@ def eigenvalue(n: int, p: AWParams) -> complex:
 def eigen_residual(n: int, p: AWParams) -> float:
     """Max relative residual of the self-adjoint difference equation on RESIDUAL_X_GRID.
 
-    (1 - q)^2 D_q[omega-tilde * D_q p_n] + lambda_n * omega * p_n = 0,
+    (1 - q)^2 D_q[omega-tilde * D_q p_n] = -lambda_n * omega * p_n,
     with omega-tilde the shift-1 weight and every D_q applied numerically.
+    The residual is _grid_residual's: for a small leading parameter a the
+    terms of p_n are large (its prefactor has a^(-n)) and cancel.
     """
     q = p.q
-    lam = eigenvalue(n, p)
-    pn = polynomial_breve(n, p)
-    flux = dq_breve(pn, q)
+    flux = dq_breve(polynomial_breve(n, p), q)
     wt = weight_breve(p, 1)
-    w0 = weight_breve(p, 0)
     outer = dq_breve(lambda z: wt(z) * flux(z), q)
-    worst = 0.0
-    for x in RESIDUAL_X_GRID:
-        z = lift_to_z(x)
-        lhs = (1.0 - q.q) ** 2 * outer(z)
-        rhs = lam * w0(z) * pn(z)
-        scale = max(abs(lhs), abs(rhs), 1.0)
-        worst = max(worst, abs(lhs + rhs) / scale)
-    return worst
+    return _grid_residual(lambda z: (1.0 - q.q) ** 2 * outer(z), -eigenvalue(n, p), n, p)
 
 
 def rodrigues_residual(n: int, p: AWParams) -> float:
@@ -233,11 +237,8 @@ def rodrigues_residual(n: int, p: AWParams) -> float:
     (D_q)^n [shift-n weight] = ((q-1)/2)^(-n) q^(-n(n-1)/4) * omega * p_n.
     The q-exponent -n(n-1)/4 and the unshifted weight on the right-hand
     side are fixed by direct numeric comparison of the two sides (the
-    alternative normalizations fail already at n = 2).  Each point's
-    residual is relative to max(|lhs|, |rhs|, 1), with the scale floored at
-    CANCEL_FLOOR times the summed term moduli of the right-hand side: near
-    a zero of p_n its terminating series cancels, and its roundoff scales
-    with those moduli, not with |p_n|.
+    alternative normalizations fail already at n = 2).  The residual is
+    _grid_residual's.
     """
     if n < 1:
         raise InvalidParams("n must be >= 1")
@@ -246,31 +247,47 @@ def rodrigues_residual(n: int, p: AWParams) -> float:
     for _ in range(n):
         g = dq_breve(g, q)
     const = ((q.q - 1.0) / 2.0) ** (-n) * q.q ** (-n * (n - 1) / 4.0)
+    return _grid_residual(g, const, n, p)
+
+
+def _grid_residual(lhs, const: complex, n: int, p: AWParams) -> float:
+    """Max over RESIDUAL_X_GRID of the _residual of lhs(z) against const * omega * p_n.
+
+    The mass of p_n at x is the summed term moduli of its series there.
+    """
     w0 = weight_breve(p, 0)
     pn = polynomial_breve(n, p)
     pref, ratios = _series_ratios(n, p)
     worst = 0.0
     for x in RESIDUAL_X_GRID:
         z = lift_to_z(x)
-        lhs = g(z)
-        w = const * w0(z)
-        rhs = w * pn(z)
         term = mass = 1.0
         for c, aq, aaqq in ratios:
             term *= abs(c * (1.0 - 2.0 * x * aq + aaqq))
             mass += term
-        floor = CANCEL_FLOOR * abs(w * pref) * mass
-        scale = max(abs(lhs), abs(rhs), floor, 1.0)
-        worst = max(worst, abs(lhs - rhs) / scale)
+        w = const * w0(z)
+        worst = max(worst, _residual(lhs(z), w * pn(z), w * pref, mass))
     return worst
 
 
-def orthogonality_check(m: int, n: int, p: AWParams, quad_nodes: int = 256) -> complex:
+def _residual(lhs, rhs, scale, mass: float) -> float:
+    """|lhs - rhs| / max(|lhs|, |rhs|, CANCEL_FLOOR |scale| mass, 1).
+
+    rhs is ``scale`` times a series whose summed term moduli are ``mass``:
+    where the series cancels, its roundoff scales with those moduli, not
+    with |rhs|.
+    """
+    floor = CANCEL_FLOOR * abs(scale) * mass
+    return abs(lhs - rhs) / max(abs(lhs), abs(rhs), floor, 1.0)
+
+
+def orthogonality_check(m: int, n: int, p: AWParams) -> complex:
     """integral over [-1, 1] of p_m p_n omega dx by Gauss-Legendre in theta.
 
     The substitution x = cos(t) turns omega dx into a smooth integrand
     (the sin factors cancel exactly), so plain Gauss-Legendre converges
-    geometrically; convergence is verified by comparing two node counts.
+    geometrically; convergence is verified by comparing ORTHO_NODES with
+    half as many.
     """
     if not p.admissible():
         raise OutOfRange("orthogonality requires admissible parameters")
@@ -281,10 +298,7 @@ def orthogonality_check(m: int, n: int, p: AWParams, quad_nodes: int = 256) -> c
 
     def integrand(t: float) -> complex:
         z = cmath.exp(1j * t)
-        num = qpoch_infinite(z * z, q) * qpoch_infinite(1.0 / (z * z), q)
-        den = 1.0 + 0.0j
-        for w in ps:
-            den *= qpoch_infinite(w * z, q) * qpoch_infinite(w / z, q)
+        num, den = _weight_parts(ps, q, z, 1.0 + 0.0j)
         return pm(z) * pn(z) * num / den
 
     def gauss(k: int) -> tuple[complex, float]:
@@ -296,13 +310,14 @@ def orthogonality_check(m: int, n: int, p: AWParams, quad_nodes: int = 256) -> c
         mass = sum(w * abs(v) for w, v in zip(weights, vals))
         return complex(total * 0.5 * math.pi), float(mass * 0.5 * math.pi)
 
-    coarse, _ = gauss(quad_nodes // 2)
-    fine, mass = gauss(quad_nodes)
+    nodes = ORTHO_NODES
+    coarse, _ = gauss(nodes // 2)
+    fine, mass = gauss(nodes)
     # the roundoff of a quadrature sum scales with the integral of |integrand|,
     # not with the integral: an off-diagonal entry is ~0 next to a large norm
     if abs(fine - coarse) > 1e-9 * max(mass, 1.0):
         raise QuadratureNonconvergent(
-            f"orthogonality quadrature has not settled at {quad_nodes} nodes"
+            f"orthogonality quadrature has not settled at {nodes} nodes"
         )
     return fine
 
@@ -312,51 +327,17 @@ class GenKind(Enum):
     qUltraspherical = "qUltraspherical"
 
 
-def _qpoch_table(a: complex, q: QParam, n: int) -> list:
-    """[(a; q)_0, ..., (a; q)_n], each by the sequential product of qpoch_finite.
-
-    Entry j is bit for bit ``qpoch_finite(a, q, j)``.
-    """
-    table = [1.0 + 0.0j]
-    f = complex(a)
-    for _ in range(n):
-        table.append(table[-1] * (1.0 - f))
-        f *= q.q
-    return table
-
-
-def _hermite_coeff(k: int, z: complex, qq: list) -> complex:
-    """H_k(x | q) = sum_j [k choose j]_q z^(k - 2j), z = e^(i theta).
-
-    ``qq`` is the table of (q; q)_j for j <= k.
-    """
-    total = 0.0 + 0.0j
-    for j in range(k + 1):
-        total += qq[k] / (qq[j] * qq[k - j]) * z ** (k - 2 * j)
-    return total
-
-
-def _ultra_coeff(n: int, z: complex, bb: list, qq: list) -> complex:
-    """C_n(x; beta | q) with T_m(x) = (z^m + z^(-m))/2.
-
-    ``bb`` and ``qq`` are the tables of (beta; q)_j and (q; q)_j for j <= n.
-    """
-    total = 0.0 + 0.0j
-    for k in range(n + 1):
-        m = n - 2 * k
-        cheb = 1.0 if m == 0 else (z**m + z**-m) / 2.0
-        total += bb[k] * bb[n - k] / (qq[k] * qq[n - k]) * cheb
-    return total
-
-
 def _series_terms(ratio: float, abs_q: float, abs_beta: float) -> int:
     """Smallest K >= 10 whose generating-series tail is at most GEN_TAIL_TOL.
 
     With ratio = |t| max(|z|, 1/|z|), the k-th term of either series is at
     most ratio^k m_k, where m_k = sum_j s_j s_(k-j) and
-    s_j = (-|beta|; |q|)_j / (|q|; |q|)_j (|beta| = 0 for q-Hermite):
-    |z^(k-2j)| and |T_(k-2j)| are at most max(|z|, 1/|z|)^k,
-    |(q; q)_j| >= (|q|; |q|)_j and |(beta; q)_j| <= (-|beta|; |q|)_j.
+    s_j = (-|beta|; |q|)_j / (|q|; |q|)_j (|beta| = 0 for q-Hermite): by
+    H_k(x | q) / (q; q)_k = sum_j z^(k-2j) / ((q; q)_j (q; q)_(k-j)) and
+    C_k(x; beta | q) = sum_j (beta; q)_j (beta; q)_(k-j) T_(k-2j)(x)
+    / ((q; q)_j (q; q)_(k-j)), where |z^(k-2j)| and |T_(k-2j)| are at most
+    max(|z|, 1/|z|)^k, |(q; q)_j| >= (|q|; |q|)_j and
+    |(beta; q)_j| <= (-|beta|; |q|)_j.
     s_j increases to a limit S, so m_k <= (k + 1) S^2 and the tail after
     K is at most S^2 ratio^(K+1) ((K + 2) - (K + 1) ratio) / (1 - ratio)^2.
     """
@@ -376,18 +357,22 @@ def _series_terms(ratio: float, abs_q: float, abs_beta: float) -> int:
     return K
 
 
-def generating_residual(
-    kind, t: complex, beta: complex, x: complex, q: QParam, K: int = None
-) -> float:
-    """|product-form generating function - truncated coefficient series|.
+def generating_residual(kind, t: complex, beta: complex, x: complex, q: QParam) -> float:
+    """Relative residual of a Rogers generating function against its series.
 
     qHermite: 1/(t e^(i theta), t e^(-i theta); q)_inf = sum H_k t^k/(q; q)_k.
     qUltraspherical: (beta t e^(+-i theta); q)_inf / (t e^(+-i theta); q)_inf
-    = sum C_n(x; beta) t^n.  K defaults to the smallest number of terms
-    whose tail bound, which includes the growth of the coefficients
-    H_k/(q; q)_k and C_n(x; beta | q), is at most GEN_TAIL_TOL.
+    = sum C_k(x; beta | q) t^k.  The terms u_k = C_k t^k come from the
+    three-term recurrence
+    (1 - q^(k+1)) u_(k+1) = 2 x t (1 - beta q^k) u_k - t^2 (1 - beta^2 q^(k-1)) u_(k-1),
+    which at beta = 0 is that of u_k = H_k t^k / (q; q)_k, since
+    C_k(x; 0 | q) = H_k(x | q) / (q; q)_k.  The series stops at the K of
+    _series_terms, and the residual is _residual's with mass the summed
+    |u_k|: where x t < 0 and |q| is near 1 the terms alternate and the
+    product is many orders below them (1e-46 against 1e63 at q = 0.99,
+    t = 0.6, x = -1), below what any double sum of the terms can resolve.
     """
-    kind = GenKind(kind) if not isinstance(kind, GenKind) else kind
+    kind = GenKind(kind)
     t = complex(t)
     if not 0.0 < abs(t) < 1.0:
         raise OutOfRange("the series requires 0 < |t| < 1")
@@ -395,17 +380,19 @@ def generating_residual(
     growth = max(abs(z), 1.0 / abs(z))
     if abs(t) * growth >= 1.0:
         raise OutOfRange("|t| max(|z|, 1/|z|) must be < 1 for convergence")
-    if K is None:
-        abs_beta = 0.0 if kind is GenKind.qHermite else abs(complex(beta))
-        K = _series_terms(abs(t) * growth, q.abs_q, abs_beta)
-    qq = _qpoch_table(q.q, q, K)
-    if kind is GenKind.qHermite:
-        lhs = evaluate(ProductForm(1.0, (), (ProductFactor(t, q.q, -1),), q), x)
-        series = sum(_hermite_coeff(k, z, qq) / qq[k] * t**k for k in range(K + 1))
-    else:
-        beta = complex(beta)
-        bb = _qpoch_table(beta, q, K)
-        factors = (ProductFactor(beta * t, q.q, 1), ProductFactor(t, q.q, -1))
-        lhs = evaluate(ProductForm(1.0, (), factors, q), x)
-        series = sum(_ultra_coeff(n, z, bb, qq) * t**n for n in range(K + 1))
-    return abs(lhs - series)
+    beta = 0.0 if kind is GenKind.qHermite else complex(beta)
+    # (0; q)_inf = 1: at beta = 0 both sides are those of q-Hermite
+    factors = ((ProductFactor(beta * t, q.q, 1),) if beta else ()) + (ProductFactor(t, q.q, -1),)
+    lhs = evaluate(ProductForm(1.0, (), factors, q), x)
+    K = _series_terms(abs(t) * growth, q.abs_q, abs(beta))
+    two_xt = 2.0 * complex(x) * t
+    prev, term = 0.0, 1.0 + 0.0j
+    series, mass = term, 1.0
+    qk = 1.0  # q^k
+    for _ in range(K):
+        nxt = two_xt * (1.0 - beta * qk) * term - t * t * (1.0 - beta * beta * qk / q.q) * prev
+        prev, term = term, nxt / (1.0 - qk * q.q)
+        qk *= q.q
+        series += term
+        mass += abs(term)
+    return _residual(lhs, series, 1.0, mass)

@@ -599,7 +599,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c", required=True)
     p.add_argument("--d", required=True)
     p.add_argument("--mode", choices=("eigen", "rodrigues", "ortho"), default="eigen")
-    p.add_argument("--tol", type=float, default=None, help="residual tolerance (none: no check)")
+    p.add_argument("--tol", type=float, default=None,
+                   help="residual tolerance of the eigen and rodrigues modes (none: no check)")
 
     p = common(subs.add_parser("asym-check", help="asymptotic error vs bound"), expr=False)
     p.add_argument("--a", required=True)
@@ -682,6 +683,8 @@ def _run(args) -> int:
         return 0 if residual <= args.tol else 3
 
     if args.command == "awpoly":
+        if args.mode == "ortho" and args.tol is not None:
+            raise SemanticError("--tol is read by --mode eigen and rodrigues only")
         p = AWParams(
             parse_complex(args.a),
             parse_complex(args.b),
@@ -706,9 +709,7 @@ def _run(args) -> int:
             ]
             cols = ["m", "n", "integral"]
         _emit(rows, cols, fmt, meta)
-        if args.tol is not None and any(
-            isinstance(row[-1], float) and row[-1] > args.tol for row in rows
-        ):
+        if args.tol is not None and any(row[-1] > args.tol for row in rows):
             return 3
         return 0
 

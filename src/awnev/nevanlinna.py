@@ -44,6 +44,14 @@ __all__ = [
 # modulus within this share of r: the phase of f - a turns by about pi over
 # an arc that short, some 14 bisections below the spacing of 512 nodes
 CONTOUR_RTOL = 1e-6
+# uniform trapezoid nodes of proximity on |x| = r, besides the clusters near
+# events: log+ |f| has kinks where |f| = 1, so the rule converges like h^2; at
+# 512, T of phi(x; 0.8), q = 0.9 was within 7e-6 T of Jensen's exact value on
+# 14 radii from 10 to 1e8
+PROXIMITY_NODES = 512
+# least samples of argument_principle_count's circle, the first level of its
+# phase walk, which bisects each step turning by more than pi/2 from there
+WINDING_NODES = 512
 # an event of modulus below this sits at the origin, where log(r / |x|) is
 # undefined: it adds n(0) log r to N(r), as in Nevanlinna's counting function
 # (Hayman, Meromorphic Functions, 1964, ch. 1)
@@ -165,19 +173,20 @@ def _accumulate(r: float, pairs):
 # --- proximity / characteristic ------------------------------------------------
 
 
-def proximity(f, r: float, quad: int = 512) -> float:
+def proximity(f, r: float) -> float:
     """m(r, f) = (1/2pi) integral of log+ |f(r e^(i theta))| d theta.
 
-    Trapezoid on the uniform grid plus geometric node clusters around the
-    arguments of zero/pole moduli close to the circle (the integrand has
-    integrable log spikes there).
+    Trapezoid on the uniform grid of PROXIMITY_NODES plus geometric node
+    clusters around the arguments of zero/pole moduli close to the circle
+    (the integrand has integrable log spikes there).
     """
     if r <= 0:
         raise InvalidParams("r must be positive")
     near = [ev for ev in _contour_events(f, r) if abs(ev.modulus - r) < 0.1 * r]
-    thetas = np.linspace(0.0, 2.0 * math.pi, quad, endpoint=False)
+    nodes = PROXIMITY_NODES
+    thetas = np.linspace(0.0, 2.0 * math.pi, nodes, endpoint=False)
     if near:
-        h = 2.0 * math.pi / quad
+        h = 2.0 * math.pi / nodes
         offsets = np.array(
             [s * h * 2.0 ** (-k) for k in range(0, 18) for s in (-4.0, 4.0)]
         )
@@ -208,14 +217,14 @@ def counting(f, r: float, target: str = "Pole"):
     return _accumulate(r, ((ev.modulus, abs(ev.multiplicity)) for ev in events))
 
 
-def characteristic(f, r: float, quad: int = 512) -> CharRecord:
+def characteristic(f, r: float) -> CharRecord:
     """T(r, f) = m(r, f) + N(r, f) assembled from quadrature and the ledger."""
-    m = proximity(f, r, quad)
+    m = proximity(f, r)
     n, N = counting(f, r, "Pole")
     return CharRecord(r=float(r), m=m, n_count=n, N=N, T=m + N)
 
 
-def log_order(f, r_grid, quad: int = 512) -> float:
+def log_order(f, r_grid) -> float:
     """Logarithmic order: the log log r exponent of T(r) fitted over the grid.
 
     The model log T = sigma * log(log r) + c + d / log r includes the leading
@@ -229,7 +238,7 @@ def log_order(f, r_grid, quad: int = 512) -> float:
         raise GridTooSmall("need >= 3 radii spanning >= 3 decades with r > e")
     us, ls = [], []
     for r in r_grid:
-        T = characteristic(f, r, quad).T
+        T = characteristic(f, r).T
         if T > 0:
             us.append(math.log(r))
             ls.append(math.log(T))
@@ -335,7 +344,7 @@ def _limit_estimate(rs, ys) -> float:
     return float(intercept)
 
 
-def deficiencies(f, r_grid, values, quad: int = 512):
+def deficiencies(f, r_grid, values):
     """Deficiency estimates per value plus the defect sum.
 
     delta = 1 - lim N/T, vartheta = lim (N - N_red)/T and
@@ -347,7 +356,7 @@ def deficiencies(f, r_grid, values, quad: int = 512):
     r_grid = sorted(float(r) for r in r_grid)
     if len(r_grid) < 3 or r_grid[-1] / r_grid[0] < 1e3:
         raise GridTooSmall("need >= 3 radii spanning >= 3 decades")
-    T = {r: characteristic(f, r, quad).T for r in r_grid}
+    T = {r: characteristic(f, r).T for r in r_grid}
     reports = []
     for a in values:
         rs, ratios_N, ratios_red, ratios_diff = [], [], [], []
@@ -442,18 +451,18 @@ def _rect_winding(f, a, p0, p1, per_edge, to_z) -> int:
     return _integer_winding(_phase_walk(f, a, np.append(edges.ravel(), p0), to_z))
 
 
-def argument_principle_count(f, a: complex, r: float, nodes: int = 512) -> int:
+def argument_principle_count(f, a: complex, r: float) -> int:
     """Winding number of f - a along |x| = r: zeros minus poles inside.
 
-    The circle gets ``nodes`` samples, or NODES_PER_EVENT per zero and pole
-    of the ledger inside it when that is more.
+    The circle gets WINDING_NODES samples, or NODES_PER_EVENT per zero and
+    pole of the ledger inside it when that is more.
     """
     events = _contour_events(f, r)
     # each zero or pole inside turns the phase by 2 pi, spread over the
     # circle when it lies deep inside; a step that turns by more than pi
     # aliases, so take at least NODES_PER_EVENT nodes per known event
     inside = sum(abs(ev.multiplicity) for ev in events if ev.modulus < r)
-    nodes = max(nodes, NODES_PER_EVENT * inside)
+    nodes = max(WINDING_NODES, NODES_PER_EVENT * inside)
     pts = r * np.exp(1j * np.linspace(0.0, 2.0 * math.pi, nodes + 1))
     return _integer_winding(_phase_walk(f, complex(a), pts, lift_to_z_array))
 
@@ -600,7 +609,7 @@ def apoint_events(f, a: complex, r: float):
 # --- checkers -------------------------------------------------------------------
 
 
-def second_main_check(f, values, r_grid, quad: int = 512):
+def second_main_check(f, values, r_grid):
     """Rows (r, LHS, RHS_counting, LHS - RHS_counting) of the main inequality.
 
     LHS = (p - 1) T(r, f); RHS_counting = reduced N at infinity plus the
@@ -618,7 +627,7 @@ def second_main_check(f, values, r_grid, quad: int = 512):
     rows = []
     p = len(values)
     for r in sorted(float(r) for r in r_grid):
-        T = characteristic(f, r, quad).T
+        T = characteristic(f, r).T
         rhs = aw_counting(f, r, "Pole").N_aw
         for a in values:
             rhs += aw_counting_at(f, a, r).N_aw

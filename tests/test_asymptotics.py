@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from awnev import nevanlinna
 from awnev.asymptotics import (
     NuTau,
     asym_error_bound,
@@ -77,14 +78,15 @@ def test_leading_term_dominance():
     assert abs(asym_log_modulus(a, 1e6 * cmath.exp(0.4j), q) / lead - 1.0) < 0.15
 
 
-def test_weight_ratio_bounded_by_log_r():
+def test_weight_ratio_bounded_by_log_r(monkeypatch):
     q = QParam(0.4)
     rs = np.geomspace(1e2, 1e6, 7)
     values, slope = weight_ratio_proximity(0.3, 0.2, -0.25, 0.1, q, rs)
     assert all(v / math.log(r) <= 20.0 for v, r in zip(values, rs))
     assert slope <= 20.0
     # quadrature convergence under density doubling
-    values2, _ = weight_ratio_proximity(0.3, 0.2, -0.25, 0.1, q, rs, quad=1024)
+    monkeypatch.setattr(nevanlinna, "PROXIMITY_NODES", 1024)
+    values2, _ = weight_ratio_proximity(0.3, 0.2, -0.25, 0.1, q, rs)
     for v1, v2 in zip(values, values2):
         assert abs(v2 - v1) <= 1e-6 * max(1.0, abs(v1))
 

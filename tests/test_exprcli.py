@@ -235,12 +235,16 @@ def test_cli_term_cap_exit_3(capsys):
 
 
 def test_cli_tol_only_where_read(capsys):
-    # --tol belongs to kernel-check, theta-verify and awpoly; elsewhere it is
-    # a usage error rather than an option that is silently ignored
+    # --tol belongs to kernel-check, theta-verify and awpoly's residual modes;
+    # elsewhere it is a usage error rather than an option that is silently ignored
     with pytest.raises(SystemExit) as exc:
         main(["char", "--q", "0.5", "--expr", "pinf(0.5)", "--rmin", "10", "--rmax", "1000",
               "--points", "3", "--tol", "1e-3"])
     assert exc.value.code == 2
+    capsys.readouterr()
+    # the ortho rows hold integrals, not residuals, so there is nothing to check
+    assert main(["awpoly", "--q", "0.5", "--n", "1", "--a", "0.3", "--b", "0.2", "--c", "0.1",
+                 "--d", "0.05", "--mode", "ortho", "--tol", "1e-30"]) == 2
     capsys.readouterr()
     expr = "pinf(0.4)*pinf(0.75)/(pinf(0.5)*pinf(0.6))"
     assert main(["kernel-check", "--q", "0.3", "--expr", expr, "--tol", "1e-30"]) == 3

@@ -264,7 +264,8 @@ def test_phase_walk_evaluates_each_level_in_one_call(monkeypatch):
         return breve_log(self, z)
 
     monkeypatch.setattr(FunctionExpr, "breve_log", spy)
-    assert argument_principle_count(f, 0.0, 1.0, nodes=16) == 2
+    monkeypatch.setattr(nevanlinna, "WINDING_NODES", 16)
+    assert argument_principle_count(f, 0.0, 1.0) == 2
     assert calls[0] == 17 and len(calls) > 2 and set(calls[1:]) == {4}
 
 
@@ -490,7 +491,8 @@ def test_deficiencies_generic_value_one_search_per_radius(monkeypatch):
         return search(*args)
 
     monkeypatch.setattr(nevanlinna, "apoint_events", spy)
-    reports, total = deficiencies(f, rs, [1.5 - 0.5j], quad=128)
+    monkeypatch.setattr(nevanlinna, "PROXIMITY_NODES", 128)
+    reports, total = deficiencies(f, rs, [1.5 - 0.5j])
     # each search covers the window R that holds the q-shifted neighbours
     assert calls == [max(r, (0.2 * (2.0 * r + 1.0) + 1.0) / 2.0) for r in rs]
     (rep,) = reports

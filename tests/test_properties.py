@@ -1,4 +1,5 @@
-"""Property tests of the factor algebra of ProductForm, of the counts and of the a-point search."""
+"""Property tests of the factor algebra of ProductForm, of the counts, of the a-point search
+and of the Askey-Wilson residual checks."""
 
 import cmath
 import math
@@ -8,6 +9,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial.polynomial import polyfromroots
 
+from awnev.awpoly import AWParams, GenKind, eigen_residual, generating_residual
 from awnev.errors import ContourTooClose
 from awnev.funcrep import ProductFactor, ProductForm, evaluate, zero_pole_ledger
 from awnev.nevanlinna import apoint_events, argument_principle_count, aw_counting, counting
@@ -109,3 +111,44 @@ def test_apoint_search_matches_the_winding_count(qv, c, a, r):
     for x, h in pts:
         if h == 1:
             assert abs(evaluate(f, x) - a) <= 1e-9 * max(1.0, abs(a))
+
+
+@PROPS
+@given(
+    st.sampled_from(GenKind),
+    st.floats(0.1, 0.99),
+    st.floats(0.05, 0.6),
+    st.sampled_from((-1.0, 1.0)),
+    st.floats(-1.0, 1.0),
+    st.floats(-0.9, 0.9),
+)
+@example(GenKind.qHermite, 0.99, 0.33, 1.0, 0.48, 0.2)
+@example(GenKind.qUltraspherical, 0.99, 0.33, 1.0, 0.48, 0.2)
+@example(GenKind.qUltraspherical, 0.5, 0.5, -1.0, 0.0, 0.0)
+def test_generating_series_matches_product(kind, qv, t, sign, x, beta):
+    # up to q = 0.99, where the terms reach 1e63 against a product of 1e-46;
+    # at beta = 0 the factor (beta t e^(+-i theta); q)_inf is 1
+    assert generating_residual(kind, sign * t, beta, x, QParam(qv)) < 1e-9
+
+
+real_params = st.tuples(st.floats(1e-4, 0.9), st.sampled_from((-1.0, 1.0))).map(
+    lambda p: p[0] * p[1]
+)
+
+
+@PROPS
+@given(
+    st.integers(1, 5),
+    real_params,
+    real_params,
+    _polar(0.05, 0.9).filter(lambda c: abs(c.imag) > 1e-3),
+    st.floats(0.1, 0.95),
+)
+@example(3, 0.0025, -0.22, -0.15 + 0.14j, 0.36)
+@example(4, 0.0025, -0.22, -0.15 + 0.14j, 0.36)
+@example(5, 0.0025, -0.22, -0.15 + 0.14j, 0.36)
+def test_eigen_equation_holds(n, a, b, c, qv):
+    # a small leading parameter a puts a^(-n) into the prefactor of p_n, whose
+    # series then cancels by as much: a residual relative to |p_n| alone read
+    # 3.1e-6, 0.021 and 1.03 at n = 3, 4 and 5 on the example
+    assert eigen_residual(n, AWParams(a, b, c, c.conjugate(), QParam(qv))) < 1e-7
