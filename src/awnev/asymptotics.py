@@ -93,18 +93,19 @@ def weight_ratio_proximity(a, b, c, d, q: QParam, r_grid):
     """Proximity m(r, shifted weight / weight) on r_grid, and its log r slope.
 
     The ratio is assembled symbolically: the common (e^(2 i theta) ...) and
-    sin(theta) parts of the two weights cancel exactly, leaving the four
-    factor-pair ratios phi(x; p q^(1/2)) / phi(x; p) for p in (a, b, c, d).
-    Returns (values, slope) with slope the least-squares coefficient of
-    m(r) against log r.
+    sin(theta) parts of the two weights cancel exactly, and each weight has
+    1 / phi(x; p) for p in its parameters, leaving the four factor-pair
+    ratios phi(x; p) / phi(x; p q^(1/2)) for p in (a, b, c, d).  Returns
+    (values, slope) with slope the least-squares coefficient of m(r)
+    against log r.
     """
     params = [complex(p) for p in (a, b, c, d)]
     if any(p == 0 for p in params):
         raise DegenerateGenerator("weight parameters must be nonzero")
     factors = []
     for p in params:
-        factors.append(ProductFactor(p * q.sqrt_q, q.q, 1))
-        factors.append(ProductFactor(p, q.q, -1))
+        factors.append(ProductFactor(p, q.q, 1))
+        factors.append(ProductFactor(p * q.sqrt_q, q.q, -1))
     ratio = ProductForm(1.0, (), tuple(factors), q)
     rs = [float(r) for r in r_grid]
     values = [proximity(ratio, r) for r in rs]

@@ -381,8 +381,10 @@ def generating_residual(kind, t: complex, beta: complex, x: complex, q: QParam) 
     if abs(t) * growth >= 1.0:
         raise OutOfRange("|t| max(|z|, 1/|z|) must be < 1 for convergence")
     beta = 0.0 if kind is GenKind.qHermite else complex(beta)
-    # (0; q)_inf = 1: at beta = 0 both sides are those of q-Hermite
-    factors = ((ProductFactor(beta * t, q.q, 1),) if beta else ()) + (ProductFactor(t, q.q, -1),)
+    # (0; q)_inf = 1: at beta = 0 both sides are those of q-Hermite, and a
+    # beta t that underflows to 0 (beta = 5e-324) leaves that factor 1 too
+    lead = (ProductFactor(beta * t, q.q, 1),) if beta * t else ()
+    factors = lead + (ProductFactor(t, q.q, -1),)
     lhs = evaluate(ProductForm(1.0, (), factors, q), x)
     K = _series_terms(abs(t) * growth, q.abs_q, abs(beta))
     two_xt = 2.0 * complex(x) * t

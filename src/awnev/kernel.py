@@ -26,15 +26,7 @@ from .errors import (
     VerificationFailed,
 )
 from .funcrep import FunctionExpr, ProductFactor, ProductForm, evaluate, zero_pole_ledger
-from .nevanlinna import (
-    KERNEL_EDGE_SAMPLES,
-    KERNEL_MIN_SIZE,
-    SMALL_BOX_RTOL,
-    _newton_polish,
-    _rect_winding,
-    _root_quadtree,
-    _value,
-)
+from .nevanlinna import _newton_polish, _root_quadtree, _value
 from .qcore import QParam, qpoch_infinite
 
 __all__ = [
@@ -61,6 +53,21 @@ KERNEL_GRID_POINTS = 40
 KERNEL_GRID_RMIN = 2.0
 KERNEL_GRID_RMAX = 50.0
 KERNEL_GRID_SEED = 5
+# kernel_solve's bound on _worst_gap between the sum and its solved product:
+# ~1e-14 when the generators are right, O(1) for a wrong class
+KERNEL_SOLVE_RTOL = 1e-7
+# a sum whose value at kernel_solve's probe point is below this share of its
+# largest term vanishes identically: its terms carry ~1e-14 roundoff, and a
+# sum that does not vanish is this small only within ~1e-10 |x| of a zero
+KERNEL_CANCEL_RTOL = 1e-10
+# the annulus search: samples per edge of its log-z cells (sectors 2 pi / 64
+# wide hold few zeros, so no walk step turns by 2 pi); the share of the width
+# L = -log|q| below which a cell is small (Newton from one zero, a centre
+# report for several that do not count); and the floor, where a double zero
+# f ~ d^2 probes roundoff (zero classes are matched to ~1e-6)
+KERNEL_EDGE_SAMPLES = 12
+KERNEL_SMALL_RTOL = 0.05
+KERNEL_MIN_SIZE = 3e-7
 
 
 @dataclass(frozen=True)
@@ -132,14 +139,19 @@ def _default_grid(f):
     return pts
 
 
+def _worst_gap(pairs) -> float:
+    """Max of |lhs - rhs| / max(|lhs|, |rhs|) over (lhs, rhs) pairs, NaN if any is NaN.
+
+    The one residual rule of kernel_solve and verify_identity (0 for no pairs).
+    """
+    gaps = [abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300) for lhs, rhs in pairs]
+    return float(np.max(gaps, initial=0.0))
+
+
 def kernel_residual(f) -> float:
     """Max of |D_q f| / max(1, |f|) over the KERNEL_GRID_POINTS points clear of the lattices."""
-    worst = 0.0
-    for x in _default_grid(f):
-        fx = evaluate(f, x)
-        d = aw_diff(f, x)
-        worst = max(worst, abs(d) / max(1.0, abs(fx)))
-    return worst
+    grid = _default_grid(f)
+    return float(np.max([abs(aw_diff(f, x)) / max(1.0, abs(evaluate(f, x))) for x in grid]))
 
 
 def kernel_member(f) -> bool:
@@ -150,15 +162,15 @@ def kernel_member(f) -> bool:
 # --- solver ---------------------------------------------------------------------
 
 
-def _annulus_roots(f: FunctionExpr, q: QParam):
-    """Zeros of f-breve in the annulus rho <= |z| < rho/|q|, with multiplicity.
+def _annulus_roots(f: FunctionExpr, q: QParam, count: int):
+    """The ``count`` zeros of f-breve in the annulus rho <= |z| < rho/|q|, with multiplicity.
 
-    Searches the logarithmic rectangle in 64 sectors by nevanlinna._root_quadtree
-    and checks the total against a fine winding of the whole rectangle; rho is
-    irrational so lattice zeros miss the cell edges (with retries if they do not).
+    Searches the logarithmic rectangle in 64 sectors by nevanlinna._root_quadtree;
+    rho is irrational so lattice zeros miss the cell edges, and an offset whose
+    search fails or whose roots do not add up to ``count`` is retried.
     """
     L = -math.log(q.abs_q)
-    small = SMALL_BOX_RTOL * L
+    small = KERNEL_SMALL_RTOL * L
     sectors = 64
     for attempt in range(6):
         # irrational offsets keep lattice zeros off the window seams
@@ -167,13 +179,12 @@ def _annulus_roots(f: FunctionExpr, q: QParam):
         ts = [t0 + 2.0 * math.pi * k / sectors for k in range(sectors + 1)]
         cells = [(complex(u0, lo), complex(u0 + L, hi)) for lo, hi in zip(ts, ts[1:])]
         try:
-            total = _rect_winding(f, 0, cells[0][0], cells[-1][1], 16 * sectors, np.exp)
             roots = _root_quadtree(f, 0, cells, KERNEL_EDGE_SAMPLES, np.exp, small, small,
                                    KERNEL_MIN_SIZE)
         except (PhaseJumpTooLarge, ContourTooClose):  # a zero on or near a cell edge
             continue
-        if sum(c for _, c in roots) == total:  # else roots were lost in the search
-            return [(cmath.exp(p), c) for p, c in roots], total
+        if sum(c for _, c in roots) == count:  # else roots were lost in the search
+            return [(cmath.exp(p), c) for p, c in roots]
     raise RootNotFound("annulus root search failed for every boundary offset")
 
 
@@ -190,10 +201,14 @@ def _same_class(z1: complex, z2: complex, q: QParam) -> bool:
 def kernel_solve(terms, q: QParam) -> KernelSolution:
     """Represent a sum of kernel products as C * prod_i phi(x; c_i) phi(x; q/c_i).
 
-    Locates the 2m zeros (with multiplicity) of the combination inside a
-    fundamental z-annulus, groups them into m lattice classes, reads the
-    generators c_i off the class representatives, fixes C at a probe point
-    far from every lattice, and verifies on a 60-point grid.
+    Every such sum of m-generator products obeys f-breve(qz) = (q z^2)^(-m)
+    f-breve(z), so by the argument principle it has exactly 2m zeros (with
+    multiplicity) in a fundamental z-annulus unless it vanishes identically
+    (Whittaker & Watson, A Course of Modern Analysis, ch. 21); a value at the
+    probe point below KERNEL_CANCEL_RTOL of its terms there reveals that, and
+    raises RootNotFound.  Locates the zeros, groups them into m lattice
+    classes, reads the generators c_i off the class representatives, fixes C
+    at the probe point, and verifies on the grid of kernel_residual.
     """
     terms = [t if isinstance(t, KernelTermSpec) else KernelTermSpec(*t) for t in terms]
     f = kernel_sum_expr(terms, q)
@@ -202,13 +217,13 @@ def kernel_solve(terms, q: QParam) -> KernelSolution:
         c_gens = terms[0].generators
         C = terms[0].coefficient
     else:
-        roots, total = _annulus_roots(f, q)
-        if total != 2 * m:
-            raise RootNotFound(
-                f"expected {2 * m} annulus zeros (two per class), found {total}"
-            )
+        probe = 3.0 * (q.abs_q + 1.0 / q.abs_q) / 2.0
+        f_probe = evaluate(f, probe)
+        terms_at_probe = [abs(c * evaluate(g, probe)) for c, g in f.terms]
+        if abs(f_probe) <= KERNEL_CANCEL_RTOL * max(terms_at_probe):
+            raise RootNotFound("the terms cancel: the sum vanishes identically")
         classes = []  # [representative, representative multiplicity, class total]
-        for z, cnt in roots:
+        for z, cnt in _annulus_roots(f, q, 2 * m):
             for cls in classes:
                 if _same_class(z, cls[0], q):
                     cls[2] += cnt
@@ -223,25 +238,11 @@ def kernel_solve(terms, q: QParam) -> KernelSolution:
             c_gens.extend([z] * (cnt // 2))
         if len(c_gens) != m:
             raise RootNotFound(f"recovered {len(c_gens)} generators, expected {m}")
-        probe = 3.0 * (q.abs_q + 1.0 / q.abs_q) / 2.0
-        rhs_form = kernel_pair_form(c_gens, q)
-        C = evaluate(f, probe) / evaluate(rhs_form, probe)
+        C = f_probe / evaluate(kernel_pair_form(c_gens, q), probe)
     rhs = kernel_pair_form(c_gens, q, constant=C)
-    rng = np.random.default_rng(11)
-    worst = 0.0
-    checked = 0
-    while checked < 60:
-        r = math.exp(rng.uniform(math.log(1.5), math.log(40.0)))
-        x = r * cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
-        lhs_v = evaluate(f, x)
-        rhs_v = evaluate(rhs, x)
-        scale = max(abs(lhs_v), abs(rhs_v))
-        if scale < 1e-12:
-            continue
-        worst = max(worst, abs(lhs_v - rhs_v) / scale)
-        checked += 1
-    if worst > 1e-7:
-        raise VerificationFailed(f"kernel identity residual {worst} exceeds 1e-7")
+    worst = _worst_gap((evaluate(f, x), evaluate(rhs, x)) for x in _default_grid(f))
+    if not worst <= KERNEL_SOLVE_RTOL:  # a NaN fails too
+        raise VerificationFailed(f"kernel identity residual {worst} exceeds {KERNEL_SOLVE_RTOL}")
     return KernelSolution(c_generators=tuple(c_gens), C=complex(C), residual=worst)
 
 
@@ -276,54 +277,47 @@ def theta(j: int, w: complex, q: QParam) -> complex:
 
 def _triple_product_series(z: complex, q: QParam) -> complex:
     s = 1.0 + 0.0j
-    k = 1
-    while True:
+    for k in range(1, 4001):
         t = (-1) ** k * q.q ** (k * k / 2.0) * (z**k + z**-k)
         s += t
         if abs(t) < 1e-18 and k > 3:
             return s
-        k += 1
-        if k > 4000:
-            raise VerificationFailed("triple-product series did not converge")
+    raise VerificationFailed("triple-product series did not converge")
 
 
 def verify_identity(identity: str, q: QParam, samples) -> float:
-    """Max relative residual of a classical identity over the samples.
+    """Max relative residual (_worst_gap) of a classical identity over the samples.
 
     identity = 'TripleProduct' (samples are z values), 'SquareSum'
     (samples are theta arguments) or 'Addition' (samples are (z, y) pairs).
     """
-    worst = 0.0
     if identity == "TripleProduct":
-        s = q.sqrt_q
-        c = qpoch_infinite(q.q, q)
-        for z in samples:
-            z = complex(z)
-            lhs = c * qpoch_infinite(s * z, q) * qpoch_infinite(s / z, q)
-            rhs = _triple_product_series(z, q)
-            worst = max(worst, abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300))
-        return worst
-    if identity == "SquareSum":
+        s, c = q.sqrt_q, qpoch_infinite(q.q, q)
+
+        def sides(z):
+            return (c * qpoch_infinite(s * z, q) * qpoch_infinite(s / z, q),
+                    _triple_product_series(z, q))
+
+    elif identity == "SquareSum":
         t20, t30, t40 = (theta(j, 0.0, q) for j in (2, 3, 4))
-        for z in samples:
-            z = complex(z)
-            lhs = theta(4, z, q) ** 2 * t40**2 + theta(2, z, q) ** 2 * t20**2
-            rhs = theta(3, z, q) ** 2 * t30**2
-            worst = max(worst, abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300))
-        return worst
-    if identity == "Addition":
+
+        def sides(z):
+            return (theta(4, z, q) ** 2 * t40**2 + theta(2, z, q) ** 2 * t20**2,
+                    theta(3, z, q) ** 2 * t30**2)
+
+    elif identity == "Addition":
         # addition formula: theta3(z+y) theta3(z-y) theta3(0)^2
         #                   = theta3(y)^2 theta3(z)^2 + theta1(y)^2 theta1(z)^2
         # (the theta3(0)^2 normalization is forced: the two sides agree at
-        # z = y = 0 only with it, and the residual check below confirms it)
+        # z = y = 0 only with it, and the residual check confirms it)
         t30 = theta(3, 0.0, q)
-        for z, y in samples:
-            z, y = complex(z), complex(y)
-            lhs = theta(3, z + y, q) * theta(3, z - y, q) * t30**2
-            rhs = (
-                theta(3, y, q) ** 2 * theta(3, z, q) ** 2
-                + theta(1, y, q) ** 2 * theta(1, z, q) ** 2
-            )
-            worst = max(worst, abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300))
-        return worst
-    raise InvalidParams("identity must be TripleProduct, SquareSum or Addition")
+
+        def sides(z, y):
+            return (theta(3, z + y, q) * theta(3, z - y, q) * t30**2,
+                    theta(3, y, q) ** 2 * theta(3, z, q) ** 2
+                    + theta(1, y, q) ** 2 * theta(1, z, q) ** 2)
+
+    else:
+        raise InvalidParams("identity must be TripleProduct, SquareSum or Addition")
+    arguments = samples if identity == "Addition" else ((z,) for z in samples)
+    return _worst_gap(sides(*map(complex, args)) for args in arguments)

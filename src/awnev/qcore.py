@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateGenerator, InvalidParams, TruncationExceeded
+from .errors import DegenerateGenerator, InvalidParams, OutOfRange, TruncationExceeded
 
 __all__ = [
     "QParam",
@@ -176,21 +176,34 @@ def qpoch_infinite(a: complex, q) -> complex:
     return cmath.exp(lg)
 
 
+# above this |x|, x^2 may overflow, and the lift is 2x to double precision:
+# x + sqrt(x^2 - 1) differs from it by about 1/(2x), below 1e-300 |z|
+LIFT_SQUARE_MAX = 1e150
+
+
 def lift_to_z_array(x) -> np.ndarray:
     """Vectorized branch lift: z with x = (z + 1/z)/2 and |z| >= 1.
 
     For x off [-1, 1] this is z = x + sqrt(x^2 - 1) with the root chosen so
     |z| >= 1; on the cut the principal square root of x^2 - 1 already gives
-    the limit from above the real axis, z = x + i sqrt(1 - x^2).
+    the limit from above the real axis, z = x + i sqrt(1 - x^2).  Above
+    |x| = LIFT_SQUARE_MAX it is z = 2x, without squaring x; OutOfRange is
+    raised where |2x| would overflow.
     """
     xa = np.asarray(x, dtype=complex)
+    ax = np.abs(xa)
+    big = ax > LIFT_SQUARE_MAX
+    if big.any():
+        if not np.all(ax[big] < 0.5 * np.finfo(float).max):
+            raise OutOfRange(f"|x| = {np.max(ax):.3g}: its lift z = 2x overflows")
+        return np.where(big, 2.0 * xa, lift_to_z_array(np.where(big, 0.0, xa)))
     w = np.sqrt(xa * xa - 1.0)
     z1 = xa + w
     z2 = xa - w
-    take2 = np.abs(z1) < np.abs(z2)
-    z = np.where(take2, z2, z1)
+    a1, a2 = np.abs(z1), np.abs(z2)
+    z = np.where(a1 < a2, z2, z1)
     # on the cut both roots have |z| = 1; keep the upper-half representative
-    on_cut = np.isclose(np.abs(z1), np.abs(z2), rtol=1e-15, atol=1e-300)
+    on_cut = np.abs(a1 - a2) <= 1e-300 + 1e-15 * a2
     if np.any(on_cut):
         zu = np.where(z1.imag >= z2.imag, z1, z2)
         z = np.where(on_cut, zu, z)

@@ -84,6 +84,10 @@ def test_weight_ratio_bounded_by_log_r(monkeypatch):
     values, slope = weight_ratio_proximity(0.3, 0.2, -0.25, 0.1, q, rs)
     assert all(v / math.log(r) <= 20.0 for v, r in zip(values, rs))
     assert slope <= 20.0
+    # the shifted weight over the weight is prod phi(x; p) / phi(x; p q^(1/2)),
+    # for which m(r) is about 2 log r; its reciprocal would read m = 0
+    assert abs(slope - 2.0) <= 0.2
+    assert all(v / math.log(r) >= 1.5 for v, r in zip(values, rs))
     # quadrature convergence under density doubling
     monkeypatch.setattr(nevanlinna, "PROXIMITY_NODES", 1024)
     values2, _ = weight_ratio_proximity(0.3, 0.2, -0.25, 0.1, q, rs)

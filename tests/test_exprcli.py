@@ -2,6 +2,7 @@
 
 import io
 import json
+import math
 import random
 import sys
 
@@ -270,6 +271,18 @@ def test_cli_char_csv_columns(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "r,m,n,N,T,n_aw,N_aw"
     assert len(lines) == 5
+
+
+def test_cli_char_radii_past_the_square_of_x(capsys):
+    # radii above ~1.3e154 used to overflow x^2 in the Joukowski lift (exit 1);
+    # a radius whose lift z = 2x overflows is out of range (exit 4)
+    argv = ["char", "--q", "0.5", "--expr", "pinf(0.4)", "--rmin", "10", "--points", "3"]
+    assert main(argv + ["--rmax", "1e200"]) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.strip().splitlines()[1:]]
+    assert len(rows) == 3 and float(rows[-1][0]) == 1e200
+    assert all(math.isfinite(float(v)) for row in rows for v in row)
+    assert main(argv + ["--rmax", "1.7e308"]) == 4
+    capsys.readouterr()
 
 
 class _ClosedPipe(io.StringIO):

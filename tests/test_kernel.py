@@ -56,10 +56,10 @@ def test_kernel_solve_single_term_identity():
 
 
 def test_kernel_solve_vanishing_sum_raises():
-    # the terms cancel: f-breve is exactly 0 on every cell edge, so each
-    # boundary offset fails and the search reports that no root was found
+    # the terms cancel: f-breve is roundoff everywhere, so it has no 2m
+    # zeros to find, and the probe point shows it before any search
     q = QParam(0.3)
-    with pytest.raises(RootNotFound):
+    with pytest.raises(RootNotFound, match="cancel"):
         kernel_solve([KernelTermSpec(1.0, (0.5,)), KernelTermSpec(-1.0, (0.5,))], q)
 
 
@@ -81,8 +81,8 @@ def test_kernel_solve_newton_stop(monkeypatch):
     # it, instead of being bisected down to the cell floor
     q = QParam(0.35)
     terms = [KernelTermSpec(1.3, (0.8 + 0.3j,)), KernelTermSpec(0.7 - 0.2j, (-0.6,))]
-    roots, total = kernel._annulus_roots(kernel_sum_expr(terms, q), q)
-    assert total == 2 and [h for _, h in roots] == [1, 1]
+    roots = kernel._annulus_roots(kernel_sum_expr(terms, q), q, 2)
+    assert [h for _, h in roots] == [1, 1]
     accepted = []
     polish = nevanlinna._polish_root
 
@@ -98,6 +98,30 @@ def test_kernel_solve_newton_stop(monkeypatch):
     assert len(accepted) == len(roots)
     for z, _ in roots:
         assert min(abs(z - w) for w in accepted) <= 1e-12 * abs(z)
+
+
+def test_kernel_sums_have_two_zeros_per_generator_in_an_annulus():
+    # f-breve(qz) = (q z^2)^(-m) f-breve(z) for every sum of m-generator
+    # kernel products, so the winding around the whole log-z rectangle of a
+    # fundamental annulus is 2m: kernel_solve takes that count from theory
+    rng = np.random.default_rng(18)
+    for k in range(10):
+        m = 1 + k % 2
+        q = QParam(rng.uniform(0.15, 0.35) * cmath.exp(1j * rng.uniform(-0.5, 0.5)))
+        terms = [
+            KernelTermSpec(
+                complex(*rng.normal(size=2)),
+                tuple(rng.uniform(0.3, 1.5) * cmath.exp(2j * math.pi * rng.uniform())
+                      for _ in range(m)),
+            )
+            for _ in range(2)
+        ]
+        L = -math.log(q.abs_q)
+        u0 = math.log(q.abs_q**0.137)
+        p0 = complex(u0, 0.2377)
+        p1 = complex(u0 + L, 0.2377 + 2.0 * math.pi)
+        f = kernel_sum_expr(terms, q)
+        assert nevanlinna._rect_winding(f, 0, p0, p1, 1024, np.exp) == 2 * m
 
 
 def test_kernel_solve_theta_identity_instance():

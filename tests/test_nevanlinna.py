@@ -519,6 +519,16 @@ def test_second_main_rows():
         assert np.isfinite(lhs) and np.isfinite(rhs)
 
 
+def test_second_main_counts_infinity_once():
+    # p counts the finite values only, and the poles enter the right side
+    # once: with [0, inf] the left side (p - 1) T is 0
+    f = build_named("qultra_gen", Q5, beta=0.25, t=0.3)
+    for r, lhs, rhs, slack in second_main_check(f, [0.0, math.inf], [50.0, 500.0, 5000.0]):
+        assert lhs == 0.0
+        assert rhs == aw_counting(f, r, "Zero").N_aw + aw_counting(f, r, "Pole").N_aw
+        assert slack == -rhs
+
+
 def test_share_check_same_value_lattice():
     q = Q5
     f = build_named("qhermite_gen", q, t=0.3)

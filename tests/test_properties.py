@@ -125,6 +125,7 @@ def test_apoint_search_matches_the_winding_count(qv, c, a, r):
 @example(GenKind.qHermite, 0.99, 0.33, 1.0, 0.48, 0.2)
 @example(GenKind.qUltraspherical, 0.99, 0.33, 1.0, 0.48, 0.2)
 @example(GenKind.qUltraspherical, 0.5, 0.5, -1.0, 0.0, 0.0)
+@example(GenKind.qUltraspherical, 0.5, 0.5, -1.0, 0.0, 5e-324)
 def test_generating_series_matches_product(kind, qv, t, sign, x, beta):
     # up to q = 0.99, where the terms reach 1e63 against a product of 1e-46;
     # at beta = 0 the factor (beta t e^(+-i theta); q)_inf is 1

@@ -13,7 +13,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from awnev.errors import InvalidParams, TruncationExceeded
+from awnev.errors import InvalidParams, OutOfRange, TruncationExceeded
 from awnev.qcore import (
     _BLOCK_ELEMS,
     QParam,
@@ -217,6 +217,20 @@ def test_lift_vectorized_matches_scalar():
         # the scalar lift is the array lift of one point, bit for bit
         assert type(lift_to_z(x)) is complex
         assert lift_to_z(x) == complex(lift_to_z_array(complex(x)))
+
+
+def test_lift_of_large_x_does_not_square_it():
+    # x^2 overflows above |x| ~ 1.3e154; there z = 2x to double precision
+    zs = lift_to_z_array(np.array([1e300, 1e300j, -1e200 + 1e200j, 1e155]))
+    assert np.array_equal(zs, [2e300, 2e300j, -2e200 + 2e200j, 2e155])
+    # at and below LIFT_SQUARE_MAX the square-root formula is used unchanged
+    xs = np.array([1e150, -3e149 + 7e149j, 4e100j, 2.5e10 - 1e9j])
+    z1, z2 = xs + np.sqrt(xs * xs - 1.0), xs - np.sqrt(xs * xs - 1.0)
+    assert np.array_equal(lift_to_z_array(xs), np.where(np.abs(z1) < np.abs(z2), z2, z1))
+    # where z = 2x itself would overflow, the lift refuses the point
+    for x in (1e308, -9e307j, math.inf):
+        with pytest.raises(OutOfRange):
+            lift_to_z(x)
 
 
 def test_lattice_point_formula():
